@@ -480,8 +480,6 @@ def _cmd_serve(args) -> int:
         )
         try:
             await server.serve_forever()
-        except asyncio.CancelledError:
-            pass  # graceful drain closed the listener under us
         finally:
             await server.stop()
 

@@ -10,14 +10,14 @@ a ``Retry-After`` hint.  This module is the client half of that contract:
   pause, and a per-request wall-clock deadline;
 * :class:`ReproClient` — synchronous (``http.client``) with **keep-alive**:
   the connection is cached across sequential requests and reused until the
-  server closes it (``repro serve`` answers ``Connection: close`` per
-  request; the cluster coordinator keeps the socket open, so a worker's
-  whole poll loop rides one TCP connection).  A request that dies on a
-  *reused* socket — the server closed it between requests — is replayed
-  once on a fresh connection before the retry policy gets involved;
-* :class:`AsyncReproClient` — the same policy over asyncio streams, one
-  connection per request, used by ``benchmarks/loadgen.py`` and the chaos
-  suite.
+  server closes it (``repro serve`` and the cluster coordinator both keep
+  the socket open, so a worker's whole poll loop rides one TCP
+  connection).  A request that dies on a *reused* socket — the server
+  closed it between requests — is replayed once on a fresh connection
+  before the retry policy gets involved;
+* :class:`AsyncReproClient` — the same policy over asyncio streams, a fresh
+  ``Connection: close`` socket per attempt, used by
+  ``benchmarks/loadgen.py`` and the chaos suite.
 
 ``stats["conn_opens"]`` counts actual TCP connects, so harnesses can assert
 socket reuse (``conn_opens == 1`` across N requests against a keep-alive
@@ -316,11 +316,12 @@ class ReproClient:
 
 
 class AsyncReproClient:
-    """The same retry loop over asyncio streams (one request per connection).
+    """The same retry loop over asyncio streams.
 
-    The transport mirrors the server's own HTTP/1.1 subset —
-    ``Content-Length`` bodies, ``Connection: close`` — so the loadgen and
-    chaos harnesses drive exactly the wire format production clients see.
+    Each attempt opens its own ``Connection: close`` socket and parses the
+    reply with the servers' own codec (:func:`repro.http.read_response`),
+    so the loadgen and chaos harnesses drive exactly the wire format
+    production clients see.
     """
 
     def __init__(
@@ -380,33 +381,22 @@ class AsyncReproClient:
     async def _exchange(self, method: str, target: str, body: bytes) -> Response:
         import asyncio
 
+        from .http import read_response
+
         reader, writer = await asyncio.open_connection(self.host, self.port)
         self.stats["conn_opens"] += 1
         try:
-            # Explicit Connection: close — this transport reads to EOF, so a
-            # keep-alive server (the cluster coordinator) must hang up.
             head = (
                 f"{method} {target} HTTP/1.1\r\nHost: {self.host}\r\n"
                 f"Connection: close\r\nContent-Length: {len(body)}\r\n\r\n"
             )
             writer.write(head.encode("latin-1") + body)
             await writer.drain()
-            raw = await reader.read()
+            status, headers, payload = await read_response(reader)
         finally:
             writer.close()
             try:
                 await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
+            except ConnectionError:
                 pass
-        head_raw, _, payload = raw.partition(b"\r\n\r\n")
-        lines = head_raw.decode("latin-1").split("\r\n")
-        try:
-            status = int(lines[0].split(" ")[1])
-        except (IndexError, ValueError):
-            raise ConnectionError(f"malformed response line {lines[0]!r}") from None
-        headers: dict[str, str] = {}
-        for line in lines[1:]:
-            key, sep, value = line.partition(":")
-            if sep:
-                headers[key.strip().lower()] = value.strip()
         return Response(status, headers, payload)

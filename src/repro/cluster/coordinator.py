@@ -19,12 +19,6 @@ GET    ``/cluster``     live status: queue depths, workers, reassignments
 GET    ``/report``      the ``repro.cluster-report/1`` document so far
 ====== ================ ====================================================
 
-Unlike :class:`repro.server.app.ReproServer` (one request per connection),
-this server speaks HTTP/1.1 keep-alive: worker poll loops issue thousands
-of tiny JSON exchanges, and the satellite keep-alive support in
-:class:`repro.client.ReproClient` makes each one a single socket write
-instead of a fresh TCP handshake.
-
 Chaos hooks: ``cluster.lease-grant`` and ``cluster.ack`` fire inside the
 respective handlers; an injected ``error`` maps to a retryable 503 (the
 worker's client backs off and retries), never a bare 500.
@@ -33,13 +27,12 @@ worker's client backs off and retries), never a bare 500.
 from __future__ import annotations
 
 import asyncio
-import json
 import logging
 import threading
 import time
-import urllib.parse
 
 from ..faults import FaultInjected, fire
+from ..http import HttpError, HttpServer, Request, Routes, json_response
 from ..service.manifest import JobSpec, jobspec_to_doc
 from ..service.runner import estimate_field_cost
 from .leases import LeaseBoard
@@ -51,20 +44,10 @@ log = logging.getLogger("repro.cluster")
 REPORT_SCHEMA = "repro.cluster-report/1"
 STATUS_SCHEMA = "repro.cluster-status/1"
 
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found", 405: "Method Not Allowed",
-            503: "Service Unavailable"}
-_MAX_HEAD = 64 * 1024
 _MAX_BODY = 4 * 1024 * 1024
 
 
-class _HttpError(Exception):
-    def __init__(self, status: int, message: str):
-        super().__init__(message)
-        self.status = status
-        self.message = message
-
-
-class ClusterCoordinator:
+class ClusterCoordinator(HttpServer):
     """One job's control plane: lease board + worker registry + HTTP front.
 
     ``lease_ttl_s`` is the liveness window: a worker that neither acks nor
@@ -82,9 +65,8 @@ class ClusterCoordinator:
         lease_ttl_s: float = 15.0,
         sweep_interval_s: float | None = None,
     ):
+        super().__init__(host, int(port), _MAX_BODY, log)
         self.spec = spec
-        self.host = host
-        self._requested_port = int(port)
         self.board = LeaseBoard(
             [(f.name, estimate_field_cost(spec, f)) for f in spec.fields],
             ttl_s=lease_ttl_s,
@@ -94,25 +76,26 @@ class ClusterCoordinator:
         self.sweep_interval_s = sweep_interval_s or max(0.05, lease_ttl_s / 4.0)
         self.started_s = time.monotonic()
         self.drained_event = asyncio.Event()
-        self._server: asyncio.base_events.Server | None = None
+        self.routes = Routes(
+            {
+                ("GET", "/manifest"): self._handle_manifest,
+                ("POST", "/lease"): self._handle_lease,
+                ("POST", "/ack"): self._handle_ack,
+                ("POST", "/heartbeat"): self._handle_heartbeat,
+                ("GET", "/cluster"): self._handle_status,
+                ("GET", "/report"): self._handle_report,
+                ("GET", "/healthz"): self._handle_healthz,
+            }
+        )
         self._sweeper: asyncio.Task | None = None
-        self._requests = 0
 
     # -------------------------------------------------------------- lifecycle
-    @property
-    def port(self) -> int:
-        if self._server is None or not self._server.sockets:
-            return self._requested_port
-        return self._server.sockets[0].getsockname()[1]
-
     @property
     def address(self) -> str:
         return f"{self.host}:{self.port}"
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
-        )
+        await super().start()
         self._sweeper = asyncio.get_running_loop().create_task(self._sweep_loop())
         log.info(
             "coordinating job %r (%d fields) on http://%s", self.spec.name,
@@ -127,10 +110,7 @@ class ClusterCoordinator:
             except asyncio.CancelledError:
                 pass
             self._sweeper = None
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().stop()
 
     async def run_until_drained(self, timeout_s: float | None = None) -> dict:
         """Serve until every field is acked; returns the final report."""
@@ -233,156 +213,77 @@ class ClusterCoordinator:
             "replicas": {},  # filled by `repro cluster run` after placement
         }
 
-    # -------------------------------------------------------------- HTTP layer
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            while True:
-                try:
-                    request = await self._read_request(reader)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break  # clean close between requests, or peer vanished
-                if request is None:
-                    break
-                method, path, body, close = request
-                try:
-                    status, doc = self._dispatch(method, path, body)
-                except _HttpError as exc:
-                    status, doc = exc.status, {"error": exc.message}
-                except ConnectionResetError:
-                    break  # injected conn-reset: drop the socket, no reply
-                except Exception:  # noqa: BLE001 — request isolation boundary
-                    log.exception("%s %s failed", method, path)
-                    status, doc = 500, {"error": "internal coordinator error"}
-                payload = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
-                head = (
-                    f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}\r\n"
-                    f"Content-Type: application/json\r\n"
-                    f"Content-Length: {len(payload)}\r\n"
-                    f"Connection: {'close' if close else 'keep-alive'}\r\n\r\n"
-                )
-                writer.write(head.encode("latin-1") + payload)
-                await writer.drain()
-                if close:
-                    break
-        except (ConnectionError, BrokenPipeError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
-
-    async def _read_request(self, reader):
-        raw = await reader.readuntil(b"\r\n\r\n")
-        if len(raw) > _MAX_HEAD:
-            raise _HttpError(400, "request head too large")
-        head = raw.decode("latin-1").split("\r\n")
-        parts = head[0].split(" ")
-        if len(parts) != 3 or not parts[2].startswith("HTTP/1"):
-            raise _HttpError(400, f"malformed request line {head[0]!r}")
-        method, target, _ = parts
-        length = 0
-        close = False
-        for line in head[1:]:
-            key, _, value = line.partition(":")
-            key = key.strip().lower()
-            if key == "content-length":
-                try:
-                    length = int(value.strip())
-                except ValueError:
-                    raise _HttpError(400, "malformed Content-Length") from None
-            elif key == "connection" and value.strip().lower() == "close":
-                close = True
-        if length > _MAX_BODY:
-            raise _HttpError(400, f"body exceeds {_MAX_BODY} bytes")
-        body = await reader.readexactly(length) if length else b""
-        return method, urllib.parse.urlsplit(target).path, body, close
-
-    @staticmethod
-    def _json_body(body: bytes) -> dict:
-        try:
-            doc = json.loads(body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise _HttpError(400, f"request body is not JSON: {exc}") from None
-        if not isinstance(doc, dict):
-            raise _HttpError(400, "request body must be a JSON object")
-        return doc
-
-    def _dispatch(self, method: str, path: str, body: bytes):
-        self._requests += 1
-        routes = {
-            ("GET", "/manifest"): self._handle_manifest,
-            ("POST", "/lease"): self._handle_lease,
-            ("POST", "/ack"): self._handle_ack,
-            ("POST", "/heartbeat"): self._handle_heartbeat,
-            ("GET", "/cluster"): lambda _b: (200, self.status()),
-            ("GET", "/report"): lambda _b: (200, self.report()),
-            ("GET", "/healthz"): lambda _b: (200, {"status": "ok", "job": self.spec.name}),
-        }
-        handler = routes.get((method, path))
-        if handler is None:
-            if any(p == path for m, p in routes):
-                raise _HttpError(405, f"{method} not allowed on {path}")
-            raise _HttpError(404, f"no route {path!r}")
-        return handler(body)
-
     # --------------------------------------------------------------- handlers
-    def _handle_manifest(self, _body: bytes):
-        return 200, {
-            "schema": "repro.cluster-manifest/1",
-            "manifest": jobspec_to_doc(self.spec),
-            "base_dir": self.spec.base_dir,
-            "lease_ttl_s": self.board.ttl_s,
-        }
+    async def _handle_manifest(self, req: Request):
+        return json_response(
+            {
+                "schema": "repro.cluster-manifest/1",
+                "manifest": jobspec_to_doc(self.spec),
+                "base_dir": self.spec.base_dir,
+                "lease_ttl_s": self.board.ttl_s,
+            }
+        )
 
-    def _handle_lease(self, body: bytes):
-        doc = self._json_body(body)
+    async def _handle_status(self, req: Request):
+        return json_response(self.status())
+
+    async def _handle_report(self, req: Request):
+        return json_response(self.report())
+
+    async def _handle_healthz(self, req: Request):
+        return json_response({"status": "ok", "job": self.spec.name})
+
+    async def _handle_lease(self, req: Request):
+        doc = req.json()
         worker = str(doc.get("worker") or "") or None
         if worker is None:
-            raise _HttpError(400, "lease request needs a 'worker' name")
+            raise HttpError(400, "lease request needs a 'worker' name")
         self._worker(worker, doc.get("shard"))
         now = time.monotonic()
         try:
             fire("cluster.lease-grant", worker=worker)
         except FaultInjected as exc:
-            raise _HttpError(503, str(exc)) from None
+            raise HttpError(503, str(exc)) from None
         # An active worker asking for work proves liveness for everything it
         # already holds — renew so multi-field workers never self-expire.
         self.board.heartbeat(worker, now)
         lease = self.board.lease(worker, now)
         if lease is not None:
-            return 200, {
-                "status": "granted",
-                "lease_id": lease.lease_id,
-                "field": lease.field,
-                "attempt": lease.attempt,
-                "ttl_s": self.board.ttl_s,
-            }
+            return json_response(
+                {
+                    "status": "granted",
+                    "lease_id": lease.lease_id,
+                    "field": lease.field,
+                    "attempt": lease.attempt,
+                    "ttl_s": self.board.ttl_s,
+                }
+            )
         self._check_drained()
         if self.board.drained:
-            return 200, {"status": "drained"}
+            return json_response({"status": "drained"})
         # Cap the advertised poll interval: the sweep may be many seconds on
         # long TTLs, but an idle worker re-asking is one cheap keep-alive
         # exchange, and a fast poll is what bounds the drain tail latency.
-        return 200, {"status": "wait", "retry_after_s": round(min(self.sweep_interval_s, 1.0), 3)}
+        return json_response(
+            {"status": "wait", "retry_after_s": round(min(self.sweep_interval_s, 1.0), 3)}
+        )
 
-    def _handle_ack(self, body: bytes):
-        doc = self._json_body(body)
+    async def _handle_ack(self, req: Request):
+        doc = req.json()
         lease_id = str(doc.get("lease_id") or "")
         worker = str(doc.get("worker") or "")
         if not lease_id or not worker:
-            raise _HttpError(400, "ack needs 'lease_id' and 'worker'")
+            raise HttpError(400, "ack needs 'lease_id' and 'worker'")
         status = doc.get("status", "ok")
         if status not in ("ok", "failed"):
-            raise _HttpError(400, f"ack status must be 'ok' or 'failed', got {status!r}")
+            raise HttpError(400, f"ack status must be 'ok' or 'failed', got {status!r}")
         try:
             fire("cluster.ack", worker=worker, lease_id=lease_id)
         except FaultInjected as exc:
-            raise _HttpError(503, str(exc)) from None
+            raise HttpError(503, str(exc)) from None
         result = doc.get("result") or {}
         if not isinstance(result, dict):
-            raise _HttpError(400, "ack 'result' must be a JSON object")
+            raise HttpError(400, "ack 'result' must be a JSON object")
         now = time.monotonic()
         disposition = self.board.ack(lease_id, now, status=status, info=result)
         if disposition in ("ok", "late"):
@@ -399,16 +300,16 @@ class ClusterCoordinator:
             row["resumed"] += 1 if result.get("resumed") else 0
             self.board.heartbeat(worker, now)
         self._check_drained()
-        return 200, {"status": disposition, "drained": self.board.drained}
+        return json_response({"status": disposition, "drained": self.board.drained})
 
-    def _handle_heartbeat(self, body: bytes):
-        doc = self._json_body(body)
+    async def _handle_heartbeat(self, req: Request):
+        doc = req.json()
         worker = str(doc.get("worker") or "")
         if not worker:
-            raise _HttpError(400, "heartbeat needs a 'worker' name")
+            raise HttpError(400, "heartbeat needs a 'worker' name")
         self._worker(worker)
         renewed = self.board.heartbeat(worker, time.monotonic())
-        return 200, {"status": "ok", "renewed": renewed}
+        return json_response({"status": "ok", "renewed": renewed})
 
 
 class CoordinatorThread:
@@ -425,7 +326,6 @@ class CoordinatorThread:
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._ready = threading.Event()
-        self._stop: asyncio.Event | None = None
 
     @property
     def address(self) -> str:
@@ -443,13 +343,9 @@ class CoordinatorThread:
 
     async def _serve(self) -> None:
         self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
         await self.coordinator.start()
         self._ready.set()
-        try:
-            await self._stop.wait()  # parked until stop() fires the event
-        finally:
-            await self.coordinator.stop()
+        await self.coordinator.serve_forever()  # parked until stop()
 
     def wait_drained(self, timeout_s: float | None = None) -> bool:
         """Block the calling thread until every field is acked."""
@@ -465,8 +361,8 @@ class CoordinatorThread:
             return False
 
     def stop(self) -> None:
-        if self._thread is None or self._loop is None or self._stop is None:
+        if self._thread is None or self._loop is None:
             return
-        self._loop.call_soon_threadsafe(self._stop.set)
+        asyncio.run_coroutine_threadsafe(self.coordinator.stop(), self._loop)
         self._thread.join(timeout=10.0)
         self._thread = None

@@ -66,11 +66,11 @@ Production guardrails (all observable on ``GET /stats``, schema
   ``degraded`` flag on ``/healthz`` until the instance is repaired and
   restarted (see the corruption runbook in ``docs/OPERATIONS.md``).
 
-The HTTP layer itself is deliberately small: HTTP/1.1, ``Content-Length``
-bodies only, one request per connection, JSON errors with 4xx for anything
-malformed (bad query, bad body, unknown route) and 5xx only for genuine
-server bugs.  See ``docs/API.md`` for request/response examples and
-``docs/OPERATIONS.md`` for deployment/tuning guidance.
+HTTP comes from :mod:`repro.http`, the codec the cluster coordinator
+shares: HTTP/1.1 keep-alive, ``Content-Length`` bodies only, JSON errors
+with 4xx for anything malformed (bad query, bad body, unknown route) and
+5xx only for genuine server bugs.  See ``docs/API.md`` for request/response
+examples and ``docs/OPERATIONS.md`` for deployment/tuning guidance.
 """
 
 from __future__ import annotations
@@ -82,7 +82,6 @@ import math
 import os
 import signal
 import time
-import urllib.parse
 
 import numpy as np
 
@@ -99,6 +98,7 @@ from ..core.container import ContainerError
 from ..core.tiling import resolve_workers
 from ..encoders import ans as _ans_tables
 from ..encoders import huffman as _huffman_tables
+from ..http import HttpError, HttpServer, Request, Routes, json_response
 from ..predictor.interpolation import level_plan_stats
 from ..service import (
     ArchiveCorruption,
@@ -125,85 +125,12 @@ __all__ = ["HttpError", "ReproServer", "DEFAULT_CACHE_BYTES", "STATS_SCHEMA"]
 log = logging.getLogger("repro.server")
 
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
-_MAX_HEADER_BYTES = 64 * 1024
 _MAX_BODY_BYTES = 1024 * 1024 * 1024
 _DTYPES = ("float32", "float64")
 
 #: wire-format identifier stamped into the ``GET /stats`` document, so
 #: dashboards and tests can pin the counter shape
 STATS_SCHEMA = "repro.stats/1"
-
-
-class HttpError(Exception):
-    """A client-visible failure: ``status``, a one-line message, and any
-    extra response headers (``Retry-After`` on 429/503)."""
-
-    def __init__(self, status: int, message: str, headers: dict | None = None):
-        super().__init__(message)
-        self.status = status
-        self.message = message
-        self.headers = headers or {}
-
-
-_REASONS = {
-    200: "OK",
-    202: "Accepted",
-    400: "Bad Request",
-    404: "Not Found",
-    405: "Method Not Allowed",
-    411: "Length Required",
-    413: "Payload Too Large",
-    429: "Too Many Requests",
-    500: "Internal Server Error",
-    503: "Service Unavailable",
-}
-
-
-class _Request:
-    """One parsed HTTP request (method, decoded path parts, query, body)."""
-
-    def __init__(self, method: str, target: str, headers: dict, body: bytes):
-        self.method = method
-        self.headers = headers
-        self.body = body
-        split = urllib.parse.urlsplit(target)
-        self.path = split.path
-        self.parts = [urllib.parse.unquote(p) for p in split.path.strip("/").split("/") if p]
-        self.query = {
-            k: v[-1] for k, v in urllib.parse.parse_qs(split.query, keep_blank_values=True).items()
-        }
-
-    def query_float(self, key: str, default: float | None = None) -> float | None:
-        raw = self.query.get(key)
-        if raw is None:
-            return default
-        try:
-            return float(raw)
-        except ValueError:
-            raise HttpError(400, f"query parameter {key}={raw!r} is not a number") from None
-
-    def query_int(self, key: str, default: int | None = None) -> int | None:
-        raw = self.query.get(key)
-        if raw is None:
-            return default
-        try:
-            return int(raw)
-        except ValueError:
-            raise HttpError(400, f"query parameter {key}={raw!r} is not an integer") from None
-
-    def query_dims(self, key: str) -> tuple[int, ...] | None:
-        raw = self.query.get(key)
-        if raw is None:
-            return None
-        try:
-            dims = tuple(int(d) for d in raw.split(",") if d)
-        except ValueError:
-            dims = ()
-        if not dims or any(d <= 0 for d in dims):
-            raise HttpError(
-                400, f"query parameter {key}={raw!r} must be comma-separated positive integers"
-            )
-        return dims
 
 
 def _coerce_option(value: str):
@@ -223,25 +150,7 @@ def _safe_name(name: str, what: str) -> str:
         raise HttpError(400, f"invalid {what} {name!r}") from None
 
 
-def _route_key(req: _Request) -> str:
-    """The latency-histogram key: path template, not the concrete path.
-
-    Collapses archive/field/job names to placeholders so ``/stats`` shows a
-    bounded route set instead of one histogram per archive.
-    """
-    parts = req.parts
-    if len(parts) == 2 and parts[0] == "archives":
-        path = "/archives/{name}"
-    elif len(parts) == 4 and parts[0] == "archives" and parts[2] == "fields":
-        path = "/archives/{name}/fields/{field}"
-    elif len(parts) == 2 and parts[0] == "jobs":
-        path = "/jobs/{id}"
-    else:
-        path = "/" + "/".join(parts)
-    return f"{req.method} {path}"
-
-
-class ReproServer:
+class ReproServer(HttpServer):
     """The ``repro serve`` application object (also usable in-process).
 
     Parameters
@@ -290,10 +199,8 @@ class ReproServer:
         deadline_ms: float = 0.0,
         drain_grace_s: float = 30.0,
     ):
+        super().__init__(host, port, max_body, log)
         self.archive_root = os.path.abspath(archive_root)
-        self.host = host
-        self._requested_port = port
-        self.max_body = max_body
         self.worker_procs = resolve_workers(worker_procs) if worker_procs == 0 else int(worker_procs)
         if self.worker_procs < 1:
             raise ValueError(f"worker_procs must be >= 0 (0 = CPU count), got {worker_procs}")
@@ -315,11 +222,27 @@ class ReproServer:
         self.batcher = MicroBatcher(window_ms=batch_window_ms, max_batch=max_batch, workers=workers)
         self.jobs = JobManager(self.archive_root, workers=1)
         self.latency = RouteLatencies()
-        self._server: asyncio.AbstractServer | None = None
+        work = {
+            ("POST", "/compress"): self._handle_compress,
+            ("POST", "/decompress"): self._handle_decompress,
+            ("GET", "/archives"): self._handle_archive_list,
+            ("GET", "/archives/{name}"): self._handle_archive_entries,
+            ("GET", "/archives/{name}/fields/{field}"): self._handle_field_read,
+            ("POST", "/jobs"): self._handle_job_submit,
+            ("GET", "/jobs/{id}"): self._handle_job_poll,
+        }
+        # Probes stay live while draining so orchestrators can watch the
+        # landing; the rest is refused while in-flight work finishes.
+        self.routes = Routes(
+            {
+                ("GET", "/healthz"): self._handle_healthz,
+                ("GET", "/codecs"): self._handle_codecs,
+                ("GET", "/stats"): self._handle_stats,
+                **{route: self._unless_draining(handler) for route, handler in work.items()},
+            }
+        )
         self._started_s = time.time()
-        self._requests = 0
         self._responses: dict[str, int] = {"2xx": 0, "4xx": 0, "5xx": 0}
-        self._draining = False
         self._drain_task: asyncio.Task | None = None
         self._inflight_heavy = 0
         self._heavy_ewma_s = 0.0
@@ -343,21 +266,13 @@ class ReproServer:
         """
         return self._integrity["corruption"] > 0
 
-    @property
-    def port(self) -> int:
-        if self._server is None or not self._server.sockets:
-            return self._requested_port
-        return self._server.sockets[0].getsockname()[1]
-
     async def start(self) -> None:
         os.makedirs(self.archive_root, exist_ok=True)
         self._started_s = time.time()
         if self.pool is not None:
             # spawn + handshake blocks; keep the loop responsive while workers boot
             await asyncio.to_thread(self.pool.start)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self._requested_port
-        )
+        await super().start()
         log.info(
             "serving %s on http://%s:%d (%d worker process%s)",
             self.archive_root,
@@ -368,21 +283,11 @@ class ReproServer:
         )
 
     async def stop(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().stop()
         await self.batcher.drain()
         if self.pool is not None:
             self.pool.close()
         self.jobs.shutdown()
-
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        async with self._server:
-            await self._server.serve_forever()
 
     def install_signal_handlers(self) -> None:
         """Arrange for SIGTERM/SIGINT to trigger a graceful :meth:`drain`.
@@ -429,166 +334,41 @@ class ReproServer:
         log.info("drain complete; final stats: %s", json.dumps(self.stats(), sort_keys=True))
         await self.stop()
 
-    # ------------------------------------------------------------- HTTP layer
-    async def _handle_connection(self, reader, writer) -> None:
-        try:
-            status, headers, body = await self._handle_one(reader)
-        except Exception:  # noqa: BLE001 — last-resort guard for the socket
-            log.exception("unhandled error while serving a request")
-            status, headers, body = self._error_response(500, "internal server error")
-        try:
-            reason = _REASONS.get(status, "Unknown")
-            lines = [f"HTTP/1.1 {status} {reason}"]
-            headers.setdefault("Content-Type", "application/octet-stream")
-            headers["Content-Length"] = str(len(body))
-            headers["Connection"] = "close"
-            lines += [f"{k}: {v}" for k, v in headers.items()]
-            writer.write(("\r\n".join(lines) + "\r\n\r\n").encode("latin-1"))
-            writer.write(body)
-            await writer.drain()
-        except (ConnectionError, BrokenPipeError):
-            pass  # client went away mid-response; nothing to salvage
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, BrokenPipeError):
-                pass
-
-    async def _handle_one(self, reader) -> tuple[int, dict, bytes]:
-        began = time.perf_counter()
-        try:
-            request = await self._read_request(reader)
-        except HttpError as exc:
-            self._requests += 1
-            return self._count(self._error_response(exc.status, exc.message, exc.headers))
-        except (asyncio.IncompleteReadError, ConnectionError):
-            self._requests += 1
-            return self._count(self._error_response(400, "incomplete request"))
-        self._requests += 1
-        route = _route_key(request)
-        try:
-            return self._count(await self._dispatch(request))
-        except HttpError as exc:
-            return self._count(self._error_response(exc.status, exc.message, exc.headers))
-        except Exception:  # noqa: BLE001 — request isolation boundary
-            log.exception("%s %s failed", request.method, request.path)
-            return self._count(self._error_response(500, "internal server error"))
-        finally:
-            self.latency.observe(route, time.perf_counter() - began)
-
-    def _count(self, response):
-        status = response[0]
+    # ------------------------------------------------------------ HTTP layer
+    def _observe(self, route: str, status: int, seconds: float) -> None:
         bucket = f"{status // 100}xx"
         self._responses[bucket] = self._responses.get(bucket, 0) + 1
-        return response
+        self.latency.observe(route, seconds)
 
-    async def _read_request(self, reader) -> _Request:
-        try:
-            raw = await reader.readuntil(b"\r\n\r\n")
-        except asyncio.LimitOverrunError:
-            raise HttpError(413, "request head too large") from None
-        if len(raw) > _MAX_HEADER_BYTES:
-            raise HttpError(413, "request head too large")
-        head = raw.decode("latin-1").split("\r\n")
-        request_parts = head[0].split(" ")
-        if len(request_parts) != 3 or not request_parts[2].startswith("HTTP/1"):
-            raise HttpError(400, f"malformed request line {head[0]!r}")
-        method, target, _ = request_parts
-        headers: dict[str, str] = {}
-        for line in head[1:]:
-            if not line:
-                continue
-            key, sep, value = line.partition(":")
-            if not sep:
-                raise HttpError(400, f"malformed header line {line!r}")
-            headers[key.strip().lower()] = value.strip()
-        if "transfer-encoding" in headers:
-            raise HttpError(411, "chunked bodies are not supported; send Content-Length")
-        body = b""
-        if "content-length" in headers:
-            try:
-                n = int(headers["content-length"])
-            except ValueError:
-                raise HttpError(400, "malformed Content-Length") from None
-            if n < 0:
-                raise HttpError(400, "malformed Content-Length")
-            if n > self.max_body:
-                raise HttpError(413, f"body of {n} bytes exceeds the {self.max_body} byte limit")
-            body = await reader.readexactly(n)
-        elif method in ("POST", "PUT"):
-            raise HttpError(411, "POST requests need a Content-Length body")
-        return _Request(method, target, headers, body)
+    def _unless_draining(self, handler):
+        """Refuse ``handler``'s work with 503 once draining has begun."""
 
-    def _error_response(
-        self, status: int, message: str, headers: dict | None = None
-    ) -> tuple[int, dict, bytes]:
-        status, response_headers, body = self._json_response({"error": message}, status=status)
-        if headers:
-            response_headers.update(headers)
-        return status, response_headers, body
+        async def guarded(req: Request, *params: str) -> tuple[int, dict, bytes]:
+            if self._draining:
+                self._draining_503 += 1
+                raise HttpError(503, "server is draining; no new work accepted")
+            return await handler(req, *params)
 
-    @staticmethod
-    def _json_response(doc, status: int = 200) -> tuple[int, dict, bytes]:
-        body = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
-        return status, {"Content-Type": "application/json"}, body
+        return guarded
 
-    # --------------------------------------------------------------- dispatch
-    async def _dispatch(self, req: _Request) -> tuple[int, dict, bytes]:
-        parts = req.parts
-        if parts == ["healthz"]:
-            self._require(req, "GET")
-            from .. import __version__
+    async def _handle_healthz(self, req: Request) -> tuple[int, dict, bytes]:
+        from .. import __version__
 
-            return self._json_response(
-                {
-                    "status": "draining" if self._draining else "ok",
-                    "degraded": self.degraded,
-                    "archive_root": self.archive_root,
-                    "version": __version__,
-                    "request_schema": REQUEST_SCHEMA,
-                }
-            )
-        if parts == ["codecs"]:
-            self._require(req, "GET")
-            return self._json_response(
-                {"request_schema": REQUEST_SCHEMA, "codecs": registry.table()}
-            )
-        if parts == ["stats"]:
-            self._require(req, "GET")
-            return self._json_response(self.stats())
-        if self._draining:
-            # probes above stay live so orchestrators can watch the landing;
-            # everything else is refused while in-flight work finishes
-            self._draining_503 += 1
-            raise HttpError(503, "server is draining; no new work accepted")
-        if parts == ["compress"]:
-            self._require(req, "POST")
-            return await self._handle_compress(req)
-        if parts == ["decompress"]:
-            self._require(req, "POST")
-            return await self._handle_decompress(req)
-        if parts == ["archives"]:
-            self._require(req, "GET")
-            return self._handle_archive_list()
-        if len(parts) == 2 and parts[0] == "archives":
-            self._require(req, "GET")
-            return await self._handle_archive_entries(parts[1])
-        if len(parts) == 4 and parts[0] == "archives" and parts[2] == "fields":
-            self._require(req, "GET")
-            return await self._handle_field_read(req, parts[1], parts[3])
-        if parts == ["jobs"]:
-            self._require(req, "POST")
-            return self._handle_job_submit(req)
-        if len(parts) == 2 and parts[0] == "jobs":
-            self._require(req, "GET")
-            return self._handle_job_poll(parts[1])
-        raise HttpError(404, f"no route for {req.path!r}")
+        return json_response(
+            {
+                "status": "draining" if self._draining else "ok",
+                "degraded": self.degraded,
+                "archive_root": self.archive_root,
+                "version": __version__,
+                "request_schema": REQUEST_SCHEMA,
+            }
+        )
 
-    @staticmethod
-    def _require(req: _Request, method: str) -> None:
-        if req.method != method:
-            raise HttpError(405, f"{req.path} only supports {method}")
+    async def _handle_codecs(self, req: Request) -> tuple[int, dict, bytes]:
+        return json_response({"request_schema": REQUEST_SCHEMA, "codecs": registry.table()})
+
+    async def _handle_stats(self, req: Request) -> tuple[int, dict, bytes]:
+        return json_response(self.stats())
 
     # ------------------------------------------------- admission and deadlines
     def _deadline_ts(self) -> float | None:
@@ -686,7 +466,7 @@ class ReproServer:
             self._inflight_heavy -= 1
 
     # ---------------------------------------------------------------- compute
-    def _compress_request(self, req: _Request):
+    def _compress_request(self, req: Request):
         """Deserialize ``POST /compress`` query parameters into the one
         canonical :class:`~repro.api.CompressionRequest` (all eb/codec/
         tiling/pipeline defaulting and validation lives in ``repro.api``).
@@ -716,7 +496,7 @@ class ReproServer:
         except (RequestError, CapabilityError, UnknownCodecError) as exc:
             raise HttpError(400, str(exc)) from None
 
-    async def _handle_compress(self, req: _Request) -> tuple[int, dict, bytes]:
+    async def _handle_compress(self, req: Request) -> tuple[int, dict, bytes]:
         shape = req.query_dims("shape")
         if shape is None:
             raise HttpError(400, "POST /compress needs ?shape=D0,D1,... matching the body")
@@ -761,7 +541,7 @@ class ReproServer:
 
         return await self._run_heavy(_work)
 
-    async def _handle_decompress(self, req: _Request) -> tuple[int, dict, bytes]:
+    async def _handle_decompress(self, req: Request) -> tuple[int, dict, bytes]:
         if not req.body:
             raise HttpError(400, "POST /decompress needs a .rpz container body")
         if self.pool is not None:
@@ -800,7 +580,7 @@ class ReproServer:
             return path + ".rpza"
         raise HttpError(404, f"archive {name!r} not found under the archive root")
 
-    def _handle_archive_list(self) -> tuple[int, dict, bytes]:
+    async def _handle_archive_list(self, req: Request) -> tuple[int, dict, bytes]:
         names = []
         for entry in sorted(os.listdir(self.archive_root)):
             full = os.path.join(self.archive_root, entry)
@@ -808,9 +588,9 @@ class ReproServer:
                 names.append(entry)
             elif os.path.isdir(full) and os.path.exists(os.path.join(full, "index.json")):
                 names.append(entry)
-        return self._json_response({"archives": names})
+        return json_response({"archives": names})
 
-    async def _handle_archive_entries(self, name: str) -> tuple[int, dict, bytes]:
+    async def _handle_archive_entries(self, req: Request, name: str) -> tuple[int, dict, bytes]:
         path = self._archive_path(name)
 
         def _list() -> list[dict]:
@@ -823,10 +603,10 @@ class ReproServer:
             raise self._corruption_503(exc) from None
         except ArchiveError as exc:
             raise HttpError(400, str(exc)) from None
-        return self._json_response({"archive": name, "entries": entries})
+        return json_response({"archive": name, "entries": entries})
 
     async def _handle_field_read(
-        self, req: _Request, name: str, field: str
+        self, req: Request, name: str, field: str
     ) -> tuple[int, dict, bytes]:
         path = self._archive_path(name)
         tile = req.query_int("tile")
@@ -879,23 +659,20 @@ class ReproServer:
         return 200, headers, await asyncio.to_thread(data.tobytes)
 
     # ------------------------------------------------------------------- jobs
-    def _handle_job_submit(self, req: _Request) -> tuple[int, dict, bytes]:
-        try:
-            doc = json.loads(req.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise HttpError(400, f"POST /jobs needs a JSON manifest body: {exc}") from None
+    async def _handle_job_submit(self, req: Request) -> tuple[int, dict, bytes]:
+        doc = req.json()
         archive = req.query.get("archive")
         try:
             snapshot = self.jobs.submit(doc, archive=archive)
         except (ManifestError, ValueError) as exc:
             raise HttpError(400, str(exc)) from None
-        return self._json_response(snapshot, status=202)
+        return json_response(snapshot, status=202)
 
-    def _handle_job_poll(self, job_id: str) -> tuple[int, dict, bytes]:
+    async def _handle_job_poll(self, req: Request, job_id: str) -> tuple[int, dict, bytes]:
         snapshot = self.jobs.get(job_id)
         if snapshot is None:
             raise HttpError(404, f"no job {job_id!r}")
-        return self._json_response(snapshot)
+        return json_response(snapshot)
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> dict:
@@ -945,8 +722,7 @@ class ReproServer:
 
 
 async def run_server(server: ReproServer) -> None:
-    """Start ``server`` and serve until cancelled (the CLI entry point)."""
-    await server.start()
+    """Start ``server`` and serve until cancelled."""
     try:
         await server.serve_forever()
     except asyncio.CancelledError:

@@ -11,9 +11,10 @@ puts ``N`` **worker processes** behind the frontend:
   with the same :mod:`repro.api` calls the in-process path uses — blobs are
   byte-identical to the single-process server;
 * tasks travel as small picklable tuples over per-worker
-  ``multiprocessing`` queues (pipe transport); results return on one shared
-  result queue drained by a dispatcher thread that resolves asyncio futures
-  via ``loop.call_soon_threadsafe``;
+  ``multiprocessing`` queues (pipe transport); each worker answers on its
+  own result pipe (no lock shared between workers, which a worker killed
+  mid-write would leak), drained by a dispatcher thread that resolves
+  asyncio futures via ``loop.call_soon_threadsafe``;
 * archive reads are **sharded by consistent hashing** on
   ``(archive, field)`` (:class:`HashRing`), so each worker's byte-budgeted
   blob cache holds a disjoint slice of the corpus instead of ``N`` copies
@@ -52,7 +53,7 @@ import asyncio
 import hashlib
 import itertools
 import multiprocessing
-import queue as queue_mod
+import multiprocessing.connection
 import signal
 import threading
 import time
@@ -224,7 +225,7 @@ def _run_task(kind: str, payload: dict, cache) -> dict:
     raise ValueError(f"unknown pool task kind {kind!r}")
 
 
-def _worker_main(worker_id: int, task_q, result_q, cache_bytes: int) -> None:
+def _worker_main(worker_id: int, task_q, results, cache_bytes: int) -> None:
     """One worker process: blocking task loop until the ``None`` sentinel.
 
     Top-level (not a closure) so the ``spawn`` start method can import it;
@@ -244,24 +245,24 @@ def _worker_main(worker_id: int, task_q, result_q, cache_bytes: int) -> None:
     # frontend before blocking on the queue so start() can wait for a pool
     # that actually dequeues promptly (deadlined tasks submitted while a
     # worker is still importing would all expire at the dequeue pre-check).
-    result_q.put((0, "ready", worker_id))
+    results.send((0, "ready", worker_id))
     while True:
         item = task_q.get()
         if item is None:
             break
         task_id, kind, deadline_ts, payload = item
         if deadline_ts is not None and time.time() > deadline_ts:
-            result_q.put((task_id, "expired", None))
+            results.send((task_id, "expired", None))
             continue
         try:
             # Chaos hook ("pool.worker-task"): SIGKILL at task K, injected
             # error, or stall — after the dequeue pre-check, so the fault
             # lands on *started* work.
             _fault_fire("pool.worker-task", worker=worker_id, kind=kind)
-            result_q.put((task_id, "ok", _run_task(kind, payload, cache)))
+            results.send((task_id, "ok", _run_task(kind, payload, cache)))
         except Exception as exc:  # noqa: BLE001 — per-task isolation boundary
             status, failure_kind = _task_failure_for(exc)
-            result_q.put((task_id, "error", (status, f"{exc}", failure_kind)))
+            results.send((task_id, "error", (status, f"{exc}", failure_kind)))
 
 
 # ----------------------------------------------------------------- dispatcher
@@ -316,8 +317,8 @@ class WorkerPool:
         self._ctx = multiprocessing.get_context(start_method)
         self._ring = HashRing(self.workers)
         self._task_queues = [self._ctx.Queue() for _ in range(self.workers)]
-        self._result_queue = self._ctx.Queue()
         self._procs: list = [None] * self.workers
+        self._results: list = [None] * self.workers  # read ends of the result pipes
         self._pending: dict[int, _Pending] = {}
         self._ids = itertools.count(1)
         self._rr = itertools.count()
@@ -362,28 +363,33 @@ class WorkerPool:
         broken.
         """
         deadline = time.monotonic() + timeout_s
-        ready = 0
-        while ready < self.workers and time.monotonic() < deadline:
-            try:
-                item = self._result_queue.get(timeout=0.5)
-            except queue_mod.Empty:
-                for wid, proc in enumerate(self._procs):
-                    if proc is not None and not proc.is_alive():
-                        self._spawn_worker(wid)
-                continue
-            if item is not None and item[1] == "ready":
-                ready += 1
+        booting = set(range(self.workers))
+        while booting and time.monotonic() < deadline:
+            conns = [self._results[wid] for wid in booting]
+            for conn in multiprocessing.connection.wait(conns, timeout=0.5):
+                wid = self._results.index(conn)
+                try:
+                    conn.recv()  # the ready handshake
+                    booting.discard(wid)
+                except EOFError:  # died while booting
+                    self._procs[wid].join(timeout=5.0)
+                    self._spawn_worker(wid)
 
     def _spawn_worker(self, wid: int) -> None:
         shard_bytes = self.cache_bytes // self.workers
+        reader, writer = self._ctx.Pipe(duplex=False)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(wid, self._task_queues[wid], self._result_queue, shard_bytes),
+            args=(wid, self._task_queues[wid], writer, shard_bytes),
             name=f"repro-worker-{wid}",
             daemon=True,
         )
         proc.start()
+        writer.close()  # the worker holds the only write end: its exit reads as EOF
+        if self._results[wid] is not None:
+            self._results[wid].close()
         self._procs[wid] = proc
+        self._results[wid] = reader
 
     def close(self, join_s: float = 5.0) -> None:
         """Stop admissions, fail whatever is still pending, stop the workers."""
@@ -493,18 +499,20 @@ class WorkerPool:
     # --------------------------------------------------------------- dispatch
     def _dispatch_loop(self) -> None:
         while True:
-            try:
-                item = self._result_queue.get(timeout=0.5)
-            except queue_mod.Empty:
-                if self._closed and not self._pending:
-                    return
-                self._reap_dead_workers()
-                continue
-            if item is None:
-                return
-            self._handle_result(*item)
+            conns = [conn for conn in self._results if conn is not None]
+            ready = multiprocessing.connection.wait(conns, timeout=0.5)
+            idle = not ready
+            for conn in ready:
+                try:
+                    self._handle_result(*conn.recv())
+                except EOFError:  # the worker exited; reap it below
+                    self._results[self._results.index(conn)] = None
+                    conn.close()
+                    idle = True
             if self._closed and not self._pending:
                 return
+            if idle:
+                self._reap_dead_workers()
 
     def _handle_result(self, task_id: int, status: str, value) -> None:
         if status == "ready":  # a respawned worker's handshake; not a task

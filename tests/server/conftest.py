@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import compress
+from repro.http import read_response
 from repro.server import ReproServer
 from repro.service import ArchiveStore
 
@@ -37,7 +38,7 @@ class Response:
 
 
 async def request(server: ReproServer, method: str, target: str, body: bytes = b"") -> Response:
-    """One HTTP/1.1 exchange over a fresh connection."""
+    """One HTTP/1.1 exchange over a fresh connection, framed by Content-Length."""
     reader, writer = await asyncio.open_connection(server.host, server.port)
     head = (
         f"{method} {target} HTTP/1.1\r\nHost: {server.host}\r\n"
@@ -45,16 +46,9 @@ async def request(server: ReproServer, method: str, target: str, body: bytes = b
     )
     writer.write(head.encode("latin-1") + body)
     await writer.drain()
-    raw = await reader.read()
+    status, headers, payload = await read_response(reader)
     writer.close()
     await writer.wait_closed()
-    head_raw, _, payload = raw.partition(b"\r\n\r\n")
-    lines = head_raw.decode("latin-1").split("\r\n")
-    status = int(lines[0].split(" ")[1])
-    headers = {}
-    for line in lines[1:]:
-        key, _, value = line.partition(":")
-        headers[key.strip().lower()] = value.strip()
     return Response(status, headers, payload)
 
 

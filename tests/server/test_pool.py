@@ -135,18 +135,22 @@ class TestPooledServing:
         assert stats["latency"]["GET /stats"]["count"] >= 1
 
 
-def test_route_key_collapses_names():
-    from repro.server.app import _Request, _route_key
-
+def test_route_key_collapses_names(serve, http):
     cases = {
         "/archives/a.rpza": "GET /archives/{name}",
         "/archives/a/fields/temp": "GET /archives/{name}/fields/{field}",
         "/jobs/j123": "GET /jobs/{id}",
         "/stats": "GET /stats",
     }
-    for target, expected in cases.items():
-        req = _Request("GET", target, {}, b"")
-        assert _route_key(req) == expected
+
+    async def scenario(server):
+        for target in cases:
+            await http(server, "GET", target)
+        return (await http(server, "GET", "/stats")).json()["latency"]
+
+    latency = serve(scenario)
+    for expected in cases.values():
+        assert latency[expected]["count"] == 1
 
 
 def test_worker_runs_in_separate_process(serve, http):

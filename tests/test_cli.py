@@ -1,6 +1,7 @@
 """Command-line interface end-to-end tests."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -305,6 +306,15 @@ class TestVersion:
         out = capsys.readouterr().out
         assert repro.__version__ in out
         assert REQUEST_SCHEMA in out
+
+    def test_pyproject_reads_the_one_version_literal(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+        with open(pyproject, "rb") as fh:
+            doc = tomllib.load(fh)
+        assert "version" not in doc["project"]
+        assert "version" in doc["project"]["dynamic"]
+        assert doc["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "repro.__version__"}
 
 
 class TestUnifiedRequestPath:
