@@ -27,6 +27,7 @@ import pytest
 
 from repro import compress
 from repro.analysis import format_table
+from repro.http import read_response
 from repro.server import ReproServer
 from repro.service import ArchiveStore
 
@@ -49,11 +50,10 @@ async def _request(server, method: str, target: str, body: bytes = b""):
     head = f"{method} {target} HTTP/1.1\r\nHost: bench\r\nContent-Length: {len(body)}\r\n\r\n"
     writer.write(head.encode("latin-1") + body)
     await writer.drain()
-    raw = await reader.read()
+    status, _, payload = await read_response(reader)  # keep-alive: frame, don't read to EOF
     writer.close()
     await writer.wait_closed()
-    status = int(raw.split(b" ", 2)[1])
-    return status, raw.partition(b"\r\n\r\n")[2]
+    return status, payload
 
 
 def _mixed_targets() -> list[tuple[str, str]]:

@@ -75,10 +75,13 @@ class Request:
 
     ``parts`` are the path segments split on ``/`` *before* percent-decoding,
     so an encoded slash (``..%2Fcorpus``) stays inside one segment.
+    ``began`` (``perf_counter``) is when the head arrived, where latency starts.
     """
 
-    def __init__(self, method: str, target: str, version: str, headers: dict, body: bytes):
+    def __init__(self, method: str, target: str, version: str, headers: dict, body: bytes,
+                 began: float = 0.0):
         self.method = method
+        self.began = began
         self.headers = headers
         self.body = body
         self.version = version
@@ -151,6 +154,7 @@ async def read_request(reader: asyncio.StreamReader, max_body: int) -> Request |
         if not exc.partial:
             return None
         raise HttpError(400, "incomplete request") from None
+    began = time.perf_counter()
     head = raw[:-4].decode("latin-1").split("\r\n")
     request_line = head[0].split(" ")
     if len(request_line) != 3 or not request_line[2].startswith("HTTP/1"):
@@ -178,7 +182,7 @@ async def read_request(reader: asyncio.StreamReader, max_body: int) -> Request |
             raise HttpError(400, "incomplete request") from None
     elif method in ("POST", "PUT"):
         raise HttpError(411, f"{method} requests need a Content-Length body")
-    return Request(method, target, version, headers, body)
+    return Request(method, target, version, headers, body, began)
 
 
 async def read_response(reader: asyncio.StreamReader) -> ResponseTuple:
@@ -309,7 +313,7 @@ class HttpServer:
                     self._idle.discard(writer)
                 if request is None:
                     break
-                key, began = UNMATCHED, time.perf_counter()
+                key = UNMATCHED
                 try:
                     key, handler, params = self.routes.match(request)
                     response = await handler(request, *params)
@@ -321,7 +325,7 @@ class HttpServer:
                     self._log.exception("%s %s failed", request.method, request.path)
                     response = HttpError(500, "internal server error").response()
                 close = not request.keep_alive or self._must_close()
-                await self._send(writer, key, time.perf_counter() - began, response, close)
+                await self._send(writer, key, time.perf_counter() - request.began, response, close)
                 if close or self._must_close():  # draining may begin mid-send
                     break
         except ConnectionError:

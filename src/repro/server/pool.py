@@ -371,7 +371,7 @@ class WorkerPool:
                 try:
                     conn.recv()  # the ready handshake
                     booting.discard(wid)
-                except EOFError:  # died while booting
+                except (EOFError, OSError):  # died while booting, maybe mid-message
                     self._procs[wid].join(timeout=5.0)
                     self._spawn_worker(wid)
 
@@ -505,7 +505,7 @@ class WorkerPool:
             for conn in ready:
                 try:
                     self._handle_result(*conn.recv())
-                except EOFError:  # the worker exited; reap it below
+                except (EOFError, OSError):  # the worker exited, maybe mid-message
                     self._results[self._results.index(conn)] = None
                     conn.close()
                     idle = True

@@ -165,3 +165,63 @@ def test_worker_runs_in_separate_process(serve, http):
     pids = serve(scenario, worker_procs=2)
     assert os.getpid() not in pids
     assert len(set(pids)) == 2
+
+
+def test_worker_killed_mid_result_is_typed_503_and_pool_recovers():
+    """A worker SIGKILLed while its result is half written leaves a torn
+    message in its result pipe.  The dispatcher must read that as the
+    worker's death (a retryable 503, then a respawn); if it died instead,
+    every pending future would hang."""
+    import asyncio
+    import os
+    import signal
+    import threading
+
+    from repro import compress
+    from repro.server.pool import PoolTaskError, WorkerPool
+
+    small = compress(np.zeros((16, 16, 16), np.float32), eb=1e-3).to_bytes()
+    # 4 MiB of decoded floats: far past a pipe buffer, so the send blocks
+    big = compress(np.zeros((128, 128, 64), np.float32), eb=1e-3).to_bytes()
+
+    pool = WorkerPool(1)
+    pool.start()
+    entered, gate = threading.Event(), threading.Event()
+    handle = pool._handle_result
+
+    def parked(*item):  # hold the dispatcher so nobody drains the pipe
+        entered.set()
+        gate.wait(30)
+        handle(*item)
+
+    pool._handle_result = parked
+
+    async def scenario():
+        first = pool.submit("decompress", {"data": small})
+        torn = pool.submit("decompress", {"data": big})
+        assert await asyncio.to_thread(entered.wait, 30), "first result never arrived"
+        results = pool._results[0]
+        for _ in range(3000):  # the big result has started arriving
+            if results.poll():
+                break
+            await asyncio.sleep(0.01)
+        else:
+            raise AssertionError("the big result never started")
+        worker = pool._procs[0]
+        os.kill(worker.pid, signal.SIGKILL)
+        worker.join(10)
+        gate.set()
+        assert (await asyncio.wait_for(first, 30))["shape"] == (16, 16, 16)
+        with pytest.raises(PoolTaskError) as err:
+            await asyncio.wait_for(torn, 30)
+        assert (err.value.status, err.value.kind) == (503, "worker-death")
+        again = await asyncio.wait_for(pool.submit("decompress", {"data": big}), 60)
+        assert again["shape"] == (128, 128, 64)
+
+    try:
+        asyncio.run(scenario())
+        assert pool._dispatcher.is_alive()
+        assert pool.stats()["worker_restarts"] == 1
+    finally:
+        gate.set()
+        pool.close()

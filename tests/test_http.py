@@ -9,6 +9,7 @@ import logging
 import os
 import socket
 import threading
+import time
 
 import pytest
 
@@ -121,6 +122,22 @@ def test_unmatched_paths_share_one_latency_key(tmp_path):
         assert client.post("/healthz", b"").status == 405
         after = set(client.get("/stats").json()["latency"])
     assert after - before <= {UNMATCHED}
+
+
+def test_latency_counts_the_body_read_not_the_idle_wait(tmp_path):
+    pause = 0.3
+    with _repro_server(tmp_path) as (_, server):
+        with socket.create_connection(("127.0.0.1", server.port), timeout=10) as sock:
+            reply = sock.makefile("rb")
+            time.sleep(pause)  # idle keep-alive wait before the head: not timed
+            sock.sendall(b"POST /decompress HTTP/1.1\r\nContent-Length: 4\r\n\r\n")
+            time.sleep(pause)  # the body trickles in after the head: timed
+            sock.sendall(b"junk")
+            assert reply.readline().split(b" ")[1] == b"400"
+        with ReproClient("127.0.0.1", server.port) as client:
+            latency = client.get("/stats").json()["latency"]
+    assert latency["POST /decompress"]["count"] == 1
+    assert pause * 1000 <= latency["POST /decompress"]["max_ms"] < 2 * pause * 1000
 
 
 def test_one_client_reuses_one_connection(tmp_path):
