@@ -35,8 +35,9 @@ puts ``N`` **worker processes** behind the frontend:
   delivered;
 * a worker that dies mid-task fails only its own in-flight tasks — each gets
   a retryable 503 (compress/read tasks are idempotent; :mod:`repro.client`
-  retries them) — and is respawned by the dispatcher, so the pool survives
-  worker crashes without ever surfacing a 500;
+  retries them) — and is respawned by the dispatcher on a fresh task queue
+  (a worker killed while blocked in ``get()`` leaks its queue's reader
+  lock), so the pool survives worker crashes without ever surfacing a 500;
 * detected storage corruption (:class:`~repro.service.ArchiveCorruption`)
   travels back with an error *kind* so the frontend can count it in the
   ``integrity`` stats block and flag ``/healthz`` degraded.
@@ -44,7 +45,8 @@ puts ``N`` **worker processes** behind the frontend:
 Workers are spawned (never forked) so they hold no inherited locks from the
 frontend's threads, and they ignore SIGINT/SIGTERM: shutdown is owned by
 the frontend's drain sequence, which stops admissions first and sends each
-worker a sentinel once in-flight work has settled.
+worker a sentinel once in-flight work has settled; :meth:`WorkerPool.close`
+SIGKILLs any worker still alive after its grace period.
 """
 
 from __future__ import annotations
@@ -414,7 +416,7 @@ class WorkerPool:
                 continue
             proc.join(timeout=max(0.1, deadline - time.monotonic()))
             if proc.is_alive():
-                proc.terminate()
+                proc.kill()  # workers ignore SIGTERM; a stalled one only stops for SIGKILL
                 proc.join(timeout=1.0)
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=join_s)
@@ -470,7 +472,11 @@ class WorkerPool:
             self._dispatched += 1
             self._per_worker[wid] += 1
             self._depth_high_water = max(self._depth_high_water, depth + 1)
-        self._task_queues[wid].put((task_id, kind, deadline_ts, payload))
+            task_q = self._task_queues[wid]
+        try:
+            task_q.put((task_id, kind, deadline_ts, payload))
+        except (ValueError, OSError):
+            pass  # the worker died and its queue was retired: the reap failed this task
         return future
 
     def abandon(self, future: asyncio.Future) -> None:
@@ -561,6 +567,12 @@ class WorkerPool:
         for wid, proc in enumerate(self._procs):
             if proc is None or proc.is_alive() or self._closed:
                 continue
+            # The replacement gets a fresh task queue: a worker killed while
+            # idle in get() dies holding the old queue's reader lock, which
+            # would wedge any successor reading from it.  Swapping under the
+            # lock that collects the stranded tasks means every task is either
+            # failed here or queued for the new worker.
+            task_q = self._ctx.Queue()
             with self._lock:
                 stranded = [
                     (tid, entry) for tid, entry in self._pending.items() if entry.worker == wid
@@ -569,6 +581,9 @@ class WorkerPool:
                     del self._pending[tid]
                 self._errors += len(stranded)
                 self._worker_restarts += 1
+                retired, self._task_queues[wid] = self._task_queues[wid], task_q
+            retired.cancel_join_thread()  # never block exit flushing to a dead reader
+            retired.close()
             # Stranded tasks are idempotent (compress/decompress/read), so the
             # death maps to a retryable 503, not a 500 — a retrying client
             # lands on the respawned (or a surviving) worker.

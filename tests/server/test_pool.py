@@ -225,3 +225,128 @@ def test_worker_killed_mid_result_is_typed_503_and_pool_recovers():
     finally:
         gate.set()
         pool.close()
+
+
+def _reap(pool, procs) -> list:
+    """Close ``pool``, then SIGKILL whatever survived (so a failing test
+    cannot leave a process that blocks interpreter exit); returns the
+    survivors."""
+    import time
+
+    pool.close(join_s=0.5)
+    deadline = time.monotonic() + 5.0
+    while any(p.is_alive() for p in procs) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    survivors = [p for p in procs if p.is_alive()]
+    for p in survivors:
+        p.kill()
+        p.join(5)
+    return survivors
+
+
+def test_idle_worker_killed_respawns_on_a_fresh_queue():
+    """An idle worker blocks in ``Queue.get()`` holding its task queue's
+    reader lock; a SIGKILL there leaks the lock.  The respawned worker must
+    not inherit that queue, or it wedges and no task is ever served again."""
+    import asyncio
+    import os
+    import signal
+
+    from repro import compress
+    from repro.server.pool import WorkerPool
+
+    small = compress(np.zeros((16, 16, 16), np.float32), eb=1e-3).to_bytes()
+    pool = WorkerPool(1)
+    pool.start()
+    procs = list(pool._procs)
+
+    async def scenario():
+        warm = await asyncio.wait_for(pool.submit("decompress", {"data": small}), 30)
+        assert warm["shape"] == (16, 16, 16)
+        await asyncio.sleep(0.2)  # the worker is back, idle in get()
+        os.kill(procs[0].pid, signal.SIGKILL)
+        procs[0].join(10)
+        for _ in range(1000):
+            if pool.stats()["worker_restarts"] == 1:
+                break
+            await asyncio.sleep(0.01)
+        else:
+            raise AssertionError("the killed worker was never respawned")
+        procs.append(pool._procs[0])
+        again = await asyncio.wait_for(pool.submit("decompress", {"data": small}), 20)
+        assert again["shape"] == (16, 16, 16)
+
+    async def guarded():
+        try:
+            await scenario()
+        finally:
+            await asyncio.to_thread(_reap, pool, procs)
+
+    asyncio.run(guarded())
+
+
+def test_close_kills_a_stalled_worker(monkeypatch):
+    """Workers ignore SIGTERM, so ``close()`` must escalate with SIGKILL: a
+    stalled worker otherwise outlives the pool and blocks interpreter exit."""
+    import asyncio
+
+    from repro.faults import ENV_VAR, FaultPlan, FaultSpec
+    from repro.server.pool import PoolTaskError, WorkerPool
+
+    plan = FaultPlan([FaultSpec("pool.worker-task", "stall", arg=120.0)], seed=0)
+    monkeypatch.setenv(ENV_VAR, plan.dumps())  # spawned workers arm at import
+    pool = WorkerPool(1)
+    pool.start()
+    procs = list(pool._procs)
+
+    async def scenario():
+        stalled = pool.submit("decompress", {"data": b""})
+        await asyncio.sleep(0.5)  # the worker has dequeued it and is stalling
+        survivors = await asyncio.to_thread(_reap, pool, procs)
+        with pytest.raises(PoolTaskError):
+            await stalled
+        return survivors
+
+    assert not asyncio.run(scenario()), "a stalled worker survived close()"
+
+
+def test_every_task_settles_while_workers_are_killed():
+    """Tasks submitted around respawns land either on the retired queue (and
+    fail with the dead worker's 503) or on the fresh one (and are served):
+    none is stranded."""
+    import asyncio
+
+    from repro import compress
+    from repro.server.pool import PoolTaskError, WorkerPool
+
+    small = compress(np.zeros((16, 16, 16), np.float32), eb=1e-3).to_bytes()
+    pool = WorkerPool(2)
+    pool.start()
+    procs = list(pool._procs)
+
+    async def scenario():
+        futures = []
+        for rnd in range(3):
+            futures += [pool.submit("decompress", {"data": small}) for _ in range(4)]
+            victim = pool._procs[rnd % 2]
+            procs.append(victim)
+            victim.kill()
+            futures += [pool.submit("decompress", {"data": small}) for _ in range(4)]
+            await asyncio.sleep(0.05)
+        results = await asyncio.wait_for(asyncio.gather(*futures, return_exceptions=True), 60)
+        for r in results:
+            if isinstance(r, PoolTaskError):
+                assert (r.status, r.kind) == (503, "worker-death")
+            else:
+                assert r["shape"] == (16, 16, 16), r
+        procs.extend(pool._procs)
+        again = await asyncio.wait_for(pool.submit("decompress", {"data": small}), 30)
+        assert again["shape"] == (16, 16, 16)
+
+    async def guarded():
+        try:
+            await scenario()
+        finally:
+            await asyncio.to_thread(_reap, pool, procs)
+
+    asyncio.run(guarded())
