@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro import compress
+from repro.api import build_request
 from repro.analysis import format_table
 from repro.http import read_response
 from repro.server import ReproServer
@@ -69,7 +70,7 @@ def test_served_mixed_workload_throughput(tmp_path, capsys):
     ).astype(np.float32)
     with ArchiveStore(str(tmp_path / "corpus.rpza"), mode="w", backend="file") as archive:
         archive.add_blob("plain", compress(field, eb=EB))
-        archive.add_blob("tiled", compress(field, eb=EB, tile_shape=TILES))
+        archive.add_blob("tiled", compress(field, request=build_request(eb=EB, tiles=TILES)))
 
     async def bench():
         server = ReproServer(str(tmp_path), port=0, batch_window_ms=2.0)

@@ -401,7 +401,7 @@ def build_request(
     """The single defaulting + validation path from loose knobs to a request.
 
     Every consumer layer (CLI flags, HTTP query parameters, batch-manifest
-    fields, the deprecated ``repro.compress`` keywords) funnels through
+    fields, the ``repro.compress`` helper) funnels through
     here, so the rules live in exactly one place:
 
     * ``mode`` (``"cr"``/``"tp"``) is sugar for the two published cuSZ-Hi

@@ -34,7 +34,7 @@ import time
 from ..faults import FaultInjected, fire
 from ..http import HttpError, HttpServer, Request, Routes, json_response
 from ..service.manifest import JobSpec, jobspec_to_doc
-from ..service.runner import estimate_field_cost
+from ..service.tasks import estimate_field_cost
 from .leases import LeaseBoard
 
 __all__ = ["REPORT_SCHEMA", "STATUS_SCHEMA", "ClusterCoordinator", "CoordinatorThread"]

@@ -10,13 +10,16 @@ simplest thing that survives every failure mode the coordinator models:
    request rides the keep-alive :class:`~repro.client.ReproClient` (capped
    full-jitter retries, deadlines) — a coordinator hiccup or an injected
    503 is the client's problem, not the loop's.
-3. For each granted field: if the shard already holds it, this process is
-   a restart of a crashed worker — ack ``resumed`` without recomputing
-   (the footer-flip commit protocol guarantees the entry is whole).
-   Otherwise compress through the same :func:`~repro.service.runner.
-   _run_field_job` path the batch runner uses, append to the shard
+3. For each granted field: run the shared task core
+   (:func:`~repro.service.tasks.run_tasks`) on a one-task slice with the
+   batch runner's :func:`~repro.service.runner.run_field` work function.
+   If the shard already holds the field, this process is a restart of a
+   crashed worker — the core resumes it without recomputing (the
+   footer-flip commit protocol guarantees the entry is whole).  Otherwise
+   the core compresses it and appends it to the shard
    (``cluster.shard-append`` chaos point fires first — a ``kill`` spec
-   here is the canonical SIGKILLed-worker scenario), and ack with metrics.
+   here is the canonical SIGKILLed-worker scenario); either way the
+   worker acks with metrics.
 4. Heartbeat from a daemon thread on its own connection (the sync client
    is deliberately not thread-safe once a keep-alive socket is cached), so
    a long compress never lets the lease lapse.
@@ -34,10 +37,11 @@ import threading
 import time
 
 from ..client import ClientError, ReproClient, RetryPolicy
-from ..faults import FaultInjected, fire
+from ..faults import fire
 from ..service.archive import ArchiveStore
 from ..service.manifest import ManifestError, parse_manifest
-from ..service.runner import _run_field_job
+from ..service.runner import failed_field, field_tasks, run_field
+from ..service.tasks import run_tasks
 
 __all__ = ["ClusterWorker", "WorkerError"]
 
@@ -133,7 +137,6 @@ class ClusterWorker:
             raise WorkerError(f"coordinator shipped an unusable manifest: {exc}") from None
         by_name = {f.name: f for f in spec.fields}
         ttl_s = float(manifest_doc.get("lease_ttl_s", 15.0))
-        defaults = {"job": spec, "inner_executor": "serial", "inner_workers": 1}
 
         heartbeat = threading.Thread(
             target=self._heartbeat_loop,
@@ -168,7 +171,7 @@ class ClusterWorker:
                         continue
                     if status != "granted":
                         raise WorkerError(f"unexpected lease response: {grant!r}")
-                    self._work_one(shard, by_name, defaults, grant)
+                    self._work_one(shard, by_name, spec, grant)
         finally:
             self._stop_heartbeat.set()
             heartbeat.join(timeout=5.0)
@@ -176,17 +179,33 @@ class ClusterWorker:
         self.summary["client"] = dict(self.client.stats)
         return dict(self.summary)
 
-    def _work_one(self, shard: ArchiveStore, by_name, defaults, grant: dict) -> None:
+    def _work_one(self, shard: ArchiveStore, by_name, job, grant: dict) -> None:
         field = grant["field"]
         lease_id = grant["lease_id"]
         fspec = by_name.get(field)
         if fspec is None:
             self._ack(lease_id, "failed", {"error": f"unknown field {field!r}"})
             return
-        if field in shard:
-            # Crash resume: a previous life of this worker committed the
-            # entry (footer-flip semantics — it is whole or absent).
-            entry = shard.entry(field)
+        # The batch task core on a one-task slice.  A field already in the
+        # shard means a previous life of this worker committed it
+        # (footer-flip semantics: the entry is whole or absent) — resumed,
+        # not recomputed.  Chaos point "cluster.shard-append" fires just
+        # before the commit: `kill` there is the SIGKILL-mid-append scenario
+        # (lease expires, the field is reassigned); `error` models a full
+        # disk — the field is acked failed, not retried forever.
+        run = run_tasks(
+            field_tasks(job, [fspec], {"job": job.name, "worker": self.name}),
+            run_field,
+            shard,
+            resumed=lambda task, entry: entry,
+            failed=failed_field,
+            inner=("serial", 1),
+            before_commit=lambda task: fire(
+                "cluster.shard-append", worker=self.name, field=task.name
+            ),
+        )
+        if run.resumed:
+            entry = run.rows[0]
             log.info("worker %s: %r already in shard — resumed, not recomputed", self.name, field)
             self._record(field, "ok", resumed=True)
             self._ack(
@@ -200,29 +219,7 @@ class ClusterWorker:
                 },
             )
             return
-        result, payload, stream_info = _run_field_job((fspec, defaults))
-        if result.status == "ok":
-            try:
-                # Chaos point: `kill` here is the SIGKILL-mid-append scenario
-                # (lease expires, the field is reassigned); `error` models a
-                # full disk — the field is acked failed, not retried forever.
-                fire("cluster.shard-append", worker=self.name, field=field)
-                meta = {"job": defaults["job"].name, "worker": self.name}
-                if stream_info is not None:
-                    shard.add_stream(
-                        field,
-                        payload,
-                        shape=stream_info["shape"],
-                        dtype=stream_info["dtype"],
-                        eb_abs=stream_info["eb_abs"],
-                        timesteps=stream_info["timesteps"],
-                        meta=meta,
-                    )
-                else:
-                    shard.add_blob(field, payload, meta=meta)
-            except (FaultInjected, OSError, ValueError) as exc:
-                result.status = "failed"
-                result.error = f"{type(exc).__name__}: {exc}"
+        result = run.rows[0]
         ack_result = {
             "nbytes": result.nbytes,
             "raw_nbytes": result.raw_nbytes,

@@ -1,6 +1,7 @@
 """Core compressor framework: container format, configuration, registry and
 the cuSZ-Hi front end (paper §4)."""
 
+from ..api.registry import CODEC_IDS, codec_class, codec_name, list_codecs
 from .compressor import CuszHi, resolve_error_bound
 from .config import CR_MODE, TP_MODE, CuszHiConfig
 from .container import (
@@ -12,7 +13,6 @@ from .container import (
     tile_entries,
     unpack_tile,
 )
-from .registry import CODEC_IDS, codec_class, codec_name, list_codecs
 from .selector import ArchetypeScore, score_archetypes, select_compressor
 from .streaming import StreamReader, StreamWriter
 from .tiling import Tile, TiledEngine, TileGrid, resolve_workers

@@ -77,7 +77,7 @@ class CompressedBlob:
     ----------
     codec:
         Registry identifier of the producing compressor (see
-        :mod:`repro.core.registry`).
+        :mod:`repro.api.registry`).
     shape:
         Original array shape.
     dtype:

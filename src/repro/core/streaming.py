@@ -28,7 +28,7 @@ import numpy as np
 from .compressor import CuszHi, resolve_error_bound
 from .config import CuszHiConfig
 from .container import CompressedBlob
-from .registry import codec_class
+from ..api.registry import codec_class
 
 __all__ = ["StreamWriter", "StreamReader"]
 

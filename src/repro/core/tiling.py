@@ -40,7 +40,7 @@ from .container import (
     tile_count,
     unpack_tile,
 )
-from .registry import CODEC_IDS, codec_class
+from ..api.registry import CODEC_IDS, codec_class
 
 __all__ = [
     "Tile",

@@ -1,22 +1,18 @@
-"""Experiment-matrix runner: execute a config's cells into an archive.
+"""Experiment-matrix runner: a config's cells as tasks of the shared task core.
 
-Built from the same parts as :class:`repro.service.runner.BatchRunner` and
-sharing its guarantees:
+:func:`run_eval` expands an :class:`~repro.evaluation.config.EvalConfig`
+into one :class:`~repro.service.tasks.Task` per matrix cell (weighted by its
+element count) and runs them through :func:`~repro.service.tasks.run_tasks`,
+the core :class:`~repro.service.runner.BatchRunner` and the cluster workers
+also run: LPT scheduling, per-cell failure isolation, and a per-cell archive
+commit that stores the cell's metrics in the entry's ``meta``, so a rerun
+with resume enabled rebuilds finished cells from the index without
+recomputing anything and a crashed run loses at most its in-flight cells.
 
-* **LPT scheduling** — cells are submitted largest-first over per-cell
-  element counts (:func:`repro.gpu.costmodel.lpt_order`), so one big
-  trailing dataset does not serialize the sweep;
-* **failure isolation** — each cell runs behind
-  ``map_tiles(..., return_exceptions=True)``; a failing cell marks itself
-  ``failed`` in the report and the rest of the matrix still lands;
-* **resume** — every finished cell is flushed to the archive (footer-flip
-  index semantics) *with its metrics in the entry's ``meta``*, so a rerun
-  with resume enabled rebuilds finished cells from the index without
-  recomputing anything; a crashed run loses at most the in-flight cells;
-* **paper-parity numerics** — cells execute through the harness kernel
-  path (``kernel_for(request).compress(data, eb)``), the same construction
-  as :func:`repro.analysis.run_case` / ``run_fixed_rate_case``, so the
-  orchestrator's CR/PSNR numbers match the legacy benchmarks exactly.
+Cells execute through the harness kernel path
+(``kernel_for(request).compress(data, eb)``), the same construction as
+:func:`repro.analysis.run_case` / ``run_fixed_rate_case``, so the
+orchestrator's CR/PSNR numbers match the legacy benchmarks exactly.
 """
 
 from __future__ import annotations
@@ -28,16 +24,16 @@ from functools import lru_cache
 import numpy as np
 
 from ..api import build_request, kernel_for
-from ..core.tiling import map_tiles, resolve_workers
-from ..datasets.registry import get_info, load
+from ..core.tiling import resolve_workers
+from ..datasets.registry import load
 from ..faults import fire as _fault_fire
-from ..gpu.costmodel import lpt_order
 from ..metrics import max_abs_error, psnr
 from ..service.archive import ArchiveStore
+from ..service.tasks import Outcome, Task, element_cost, run_tasks
 from .config import EvalConfig
 from .matrix import EvalCell, expand
 
-__all__ = ["CellResult", "EvalRun", "cell_request", "run_eval"]
+__all__ = ["CellResult", "EvalRun", "cell_request", "run_cell", "run_eval"]
 
 #: archive-entry meta key holding the cell's serialized metrics (the resume
 #: substrate: rebuilding a finished cell is a dict read, not a recompute)
@@ -119,8 +115,6 @@ def _cell_compressor(cell: EvalCell, inner: tuple[str, int]):
         return CuszHi(config=dict(ABLATION_STEPS)[cell.variant])
     request = cell_request(cell)
     if request.tiling is not None:
-        # Cells are the unit of parallelism: keep tile fan-out off the lanes
-        # the cell executor is scheduled on (mirrors BatchRunner).
         request = request.with_tiling_execution(*inner)
     return kernel_for(request)
 
@@ -130,19 +124,23 @@ def _load_dataset(name: str, shape: tuple[int, ...] | None, seed: int) -> np.nda
     return load(name, shape=shape, seed=seed)
 
 
-def _run_cell_job(job) -> tuple[CellResult, bytes | None]:
-    """One cell, module-level so the "processes" executor can pickle it.
-
-    Returns ``(result, payload)``; the parent owns the archive.
-    """
-    cell, inner = job
-    t0 = time.perf_counter()
-    result = CellResult(
+def _cell_row(cell: EvalCell, **fields) -> CellResult:
+    return CellResult(
         cell=cell.cell_id,
         dataset=cell.dataset.name,
         variant=cell.variant,
         kind=cell.kind,
         status="failed",
+        **fields,
+    )
+
+
+def run_cell(task_spec, inner: tuple[str, int]) -> Outcome:
+    """Execute one cell (the eval work function of the shared task core)."""
+    cell, config_name = task_spec
+    t0 = time.perf_counter()
+    result = _cell_row(
+        cell,
         eb=cell.eb,
         eb_mode=cell.eb_mode,
         rate=cell.rate,
@@ -167,18 +165,12 @@ def _run_cell_job(job) -> tuple[CellResult, bytes | None]:
         result.max_err = max_abs_error(data, recon)
         result.status = "ok"
         result.wall_s = time.perf_counter() - t0
-        return result, blob.to_bytes()
+        meta = {META_KEY: result.to_json(), "config": config_name}
+        return Outcome(result, blob.to_bytes(), meta)
     except Exception as exc:  # noqa: BLE001 — per-cell isolation boundary
         result.error = f"{type(exc).__name__}: {exc}"
         result.wall_s = time.perf_counter() - t0
-        return result, None
-
-
-def _cell_cost(cell: EvalCell) -> float:
-    shape = cell.dataset.shape
-    if shape is None:
-        shape = get_info(cell.dataset.name).default_shape
-    return float(np.prod(shape))
+        return Outcome(result)
 
 
 def run_eval(
@@ -196,90 +188,33 @@ def run_eval(
     Closes the archive afterwards if it was opened here from a path.
     """
     owns = not isinstance(archive, ArchiveStore)
-    store = archive if isinstance(archive, ArchiveStore) else ArchiveStore(archive, mode="a")
+    store = ArchiveStore(archive, mode="a") if owns else archive
     try:
-        return _run(cfg, store, resume, executor, workers)
+        run = EvalRun(
+            config=cfg,
+            archive=store.path,
+            executor=executor or cfg.executor,
+            workers=resolve_workers(cfg.workers if workers is None else workers),
+        )
+        t0 = time.perf_counter()
+        tasks = [
+            Task(c.cell_id, element_cost(c.dataset.shape, c.dataset.name), (c, cfg.name))
+            for c in expand(cfg)
+        ]
+        done = run_tasks(
+            tasks,
+            run_cell,
+            store,
+            resumed=lambda task, entry: CellResult.from_json(entry.meta.get(META_KEY, {})),
+            failed=lambda task, error: _cell_row(task.spec[0], error=error),
+            executor=run.executor,
+            workers=run.workers,
+            resume=resume,
+        )
     finally:
         if owns:
             store.close()
-
-
-def _run(
-    cfg: EvalConfig,
-    store: ArchiveStore,
-    resume: bool,
-    executor: str | None,
-    workers: int | None,
-) -> EvalRun:
-    run = EvalRun(
-        config=cfg,
-        archive=store.path,
-        executor=executor or cfg.executor,
-        workers=resolve_workers(cfg.workers if workers is None else workers),
-    )
-    t0 = time.perf_counter()
-    cells = expand(cfg)
-    by_id: dict[str, CellResult] = {}
-    pending: list[EvalCell] = []
-    for cell in cells:
-        if resume and cell.cell_id in store:
-            meta = store.entry(cell.cell_id).meta.get(META_KEY, {})
-            by_id[cell.cell_id] = CellResult.from_json(meta)
-            run.resumed.append(cell.cell_id)
-        else:
-            pending.append(cell)
-
-    inner = (
-        "serial" if run.executor == "processes" else "threads",
-        1 if run.executor != "serial" else 0,
-    )
-    costs = [_cell_cost(c) for c in pending]
-    order, makespan = lpt_order(costs, run.workers)
-    run.lpt_makespan_elements = makespan
-    jobs = [(pending[i], inner) for i in order]
-    replace = not resume
-
-    def archive_outcome(i: int, outcome) -> None:
-        # Runs in the parent as each cell completes: the archive index is
-        # flushed per cell, so an interrupted sweep resumes from the last
-        # finished cell, not from the start.
-        cell = jobs[i][0]
-        if isinstance(outcome, Exception):
-            by_id[cell.cell_id] = CellResult(
-                cell=cell.cell_id,
-                dataset=cell.dataset.name,
-                variant=cell.variant,
-                kind=cell.kind,
-                status="failed",
-                error=f"{type(outcome).__name__}: {outcome}",
-            )
-            return
-        result, payload = outcome
-        if result.status == "ok":
-            try:
-                store.add_blob(
-                    cell.cell_id,
-                    payload,
-                    meta={META_KEY: result.to_json(), "config": cfg.name},
-                    replace=replace,
-                )
-            except Exception as exc:  # noqa: BLE001 — isolation boundary
-                result.status = "failed"
-                result.error = f"{type(exc).__name__}: {exc}"
-        by_id[cell.cell_id] = result
-        run.executed.append(cell.cell_id)
-
-    map_tiles(
-        _run_cell_job,
-        jobs,
-        run.executor,
-        run.workers,
-        return_exceptions=True,
-        on_result=archive_outcome,
-    )
-    # Report rows follow expansion order, not LPT submission order.
-    run.cells = [by_id[c.cell_id] for c in cells]
-    position = {c.cell_id: i for i, c in enumerate(cells)}
-    run.executed.sort(key=position.__getitem__)
+    run.cells, run.resumed, run.executed = done.rows, done.resumed, done.executed
+    run.lpt_makespan_elements = done.makespan
     run.wall_s = time.perf_counter() - t0
     return run

@@ -2,9 +2,10 @@
 
 The step from "compressor library" to "compression service" (ROADMAP north
 star): a TOML/JSON manifest describes many fields (dataset refs or raw files,
-per-field error bounds, codec/tile overrides), :class:`BatchRunner` schedules
-them LPT-first across the serial/threads/processes executors with per-field
-failure isolation and resume-from-archive, and :class:`ArchiveStore` keeps
+per-field error bounds, codec/tile overrides), :class:`BatchRunner` runs them
+through the shared task core (:mod:`repro.service.tasks`: LPT-first across
+the serial/threads/processes executors, per-field failure isolation and
+resume-from-archive), and :class:`ArchiveStore` keeps
 the resulting frames behind a random-access index with per-tile partial
 decompression.  ``repro batch`` / ``repro archive {ls,get,verify}`` expose
 the same machinery on the command line.
@@ -19,7 +20,8 @@ from .manifest import (
     load_manifest,
     parse_manifest,
 )
-from .runner import REPORT_SCHEMA, BatchReport, BatchRunner, FieldResult, estimate_field_cost
+from .runner import REPORT_SCHEMA, BatchReport, BatchRunner, FieldResult
+from .tasks import estimate_field_cost
 
 __all__ = [
     "ArchiveCorruption",

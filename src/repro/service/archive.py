@@ -57,7 +57,7 @@ import numpy as np
 
 from ..core.cache import ByteBudgetLRU
 from ..core.container import CompressedBlob, ContainerError, is_tiled
-from ..core.registry import codec_class, codec_name
+from ..api.registry import codec_class, codec_name
 from ..core.streaming import StreamReader
 from ..core.tiling import TiledEngine
 from ..faults import mangle as _fault_mangle

@@ -1,48 +1,50 @@
-"""Batch runner: schedule a manifest's fields across executors into an archive.
+"""Batch runner: a manifest's fields as tasks of the shared task core.
 
-The runner is the orchestration layer between a :class:`~repro.service.
-manifest.JobSpec` and an :class:`~repro.service.archive.ArchiveStore`:
+:class:`BatchRunner` turns a :class:`~repro.service.manifest.JobSpec` into
+one :class:`~repro.service.tasks.Task` per field (weighted by
+:func:`~repro.service.tasks.estimate_field_cost`) and runs them through
+:func:`~repro.service.tasks.run_tasks` into an
+:class:`~repro.service.archive.ArchiveStore`.  The core supplies LPT
+(largest-first) scheduling, per-field failure isolation (a missing raw file
+or a poisoned worker marks that one field ``failed`` and the rest of the
+corpus still lands), resume (fields already archived are reported
+``skipped`` without being scheduled) and the per-field archive commit.
 
-* **LPT scheduling** — fields are submitted largest-first
-  (:func:`repro.gpu.costmodel.lpt_order` over per-field element counts), so a
-  greedy worker pool approximates the minimal makespan instead of letting one
-  big trailing field serialize the run;
-* **failure isolation** — each field compresses inside its own try/except
-  *and* behind ``map_tiles(..., return_exceptions=True)``, so a missing raw
-  file or a poisoned worker marks that one field ``failed`` in the report and
-  the rest of the corpus still lands in the archive;
-* **resumability** — fields whose names are already present in the archive
-  are reported ``skipped`` without being scheduled, so re-running a manifest
-  after a crash (or appending fields to it) only pays for the missing work;
-* **machine-readable report** — :class:`BatchReport` serializes per-field
-  CR / bitrate / PSNR / max-error / wall time plus corpus totals as JSON
-  (schema id ``repro.batch-report/1``), the artifact CI tracks per-PR.
-
-Process-executor note: the field is the unit of parallelism here, so worker
-processes force any per-field *tile* executor down to ``serial`` — nesting
-pools would oversubscribe the same cores they are scheduled on.
+This module owns what is specific to fields: :func:`run_field`, the work
+function (also what each cluster worker runs on its leased field), and
+:class:`BatchReport`, which serializes per-field CR / bitrate / PSNR /
+max-error / wall time plus corpus totals as JSON (schema id
+``repro.batch-report/1``), the artifact CI tracks per-PR.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from ..api import codec_name
-from ..core.streaming import StreamWriter
-from ..core.tiling import map_tiles, resolve_workers
+from ..api import DEFAULT_CODEC, codec_name, compress, decompress, kernel_for
+from ..core.streaming import StreamReader, StreamWriter
+from ..core.tiling import resolve_workers
 from ..datasets.io import read_raw
-from ..datasets.registry import get_info, load
-from ..gpu.costmodel import lpt_order
+from ..datasets.registry import load
 from ..metrics.error import max_abs_error, psnr
 from .archive import ArchiveStore
 from .manifest import FieldSpec, JobSpec, resolve_field_path
+from .tasks import Outcome, Task, estimate_field_cost, run_tasks
 
-__all__ = ["BatchRunner", "BatchReport", "FieldResult", "REPORT_SCHEMA", "estimate_field_cost"]
+__all__ = [
+    "BatchRunner",
+    "BatchReport",
+    "FieldResult",
+    "REPORT_SCHEMA",
+    "estimate_field_cost",
+    "failed_field",
+    "field_tasks",
+    "run_field",
+]
 
 REPORT_SCHEMA = "repro.batch-report/1"
 
@@ -123,26 +125,30 @@ class BatchReport:
 
 
 # --------------------------------------------------------------------------
-# Per-field job, module-level so the "processes" executor can pickle it.
-# Returns (FieldResult, payload, stream_info) — the parent owns the archive.
+# Field tasks for the shared core (repro.service.tasks).  The work function
+# is module-level so the "processes" executor can pickle it; the parent owns
+# the archive.
 # --------------------------------------------------------------------------
 
 
-def estimate_field_cost(job: JobSpec, spec: FieldSpec) -> float:
-    """Per-field work estimate in elements — the LPT scheduling weight.
+def field_tasks(job: JobSpec, fields, meta: dict) -> list[Task]:
+    """One task per manifest field; ``meta`` is the entry meta its commit
+    carries.  The whole (frozen, picklable) JobSpec travels with each task:
+    per-field requests resolve against the job-level request in one place
+    (:meth:`FieldSpec.request`)."""
+    return [Task(f.name, estimate_field_cost(job, f), (f, job, meta)) for f in fields]
 
-    Shared by :class:`BatchRunner` and the cluster coordinator so single-node
-    and distributed runs hand out the same largest-first order.
-    """
-    shape = spec.shape
-    if shape is None and spec.dataset is not None:
-        shape = get_info(spec.dataset).default_shape
-    if shape is not None:
-        return float(np.prod(shape)) * spec.timesteps
-    try:
-        return os.path.getsize(job.resolve_path(spec)) / 4.0
-    except OSError:
-        return 0.0
+
+def skipped_field(task: Task, entry) -> FieldResult:
+    """The report row of a field the archive already holds."""
+    return FieldResult(name=task.name, status="skipped")
+
+
+def failed_field(task: Task, error: str) -> FieldResult:
+    """The report row of a field whose task raised outside :func:`run_field`."""
+    return FieldResult(
+        name=task.name, status="failed", error=error, timesteps=task.spec[0].timesteps
+    )
 
 
 def _load_field(spec: FieldSpec, base_dir: str, seed_offset: int = 0) -> np.ndarray:
@@ -155,29 +161,17 @@ def _load_field(spec: FieldSpec, base_dir: str, seed_offset: int = 0) -> np.ndar
     return data
 
 
-def _field_request(spec: FieldSpec, defaults):
-    """This field's canonical request, with the tiling fan-out pinned to the
-    lanes the batch executor leaves free (never nest pools)."""
-    request = spec.request(defaults["job"])
-    if request.tiling is not None:
-        request = request.with_tiling_execution(
-            defaults["inner_executor"], defaults["inner_workers"]
-        )
-    return request
-
-
-def _run_field_job(job) -> tuple[FieldResult, bytes | None, dict | None]:
-    # Deferred: keeps this module import-light and the job tuple picklable
-    # for the "processes" executor.
-    from ..api import compress as _compress, decompress as _decompress
-
-    spec, defaults = job
+def run_field(task_spec, inner: tuple[str, int]) -> Outcome:
+    """Compress one manifest field (the batch and cluster work function)."""
+    spec, job, meta = task_spec
     t0 = time.perf_counter()
     result = FieldResult(name=spec.name, status="failed", timesteps=spec.timesteps)
     try:
-        request = _field_request(spec, defaults)
+        request = spec.request(job)
+        if request.tiling is not None:
+            request = request.with_tiling_execution(*inner)
         if spec.is_stream:
-            payload, info = _compress_stream(spec, defaults, request)
+            payload, info = _compress_stream(spec, job, request)
             first = info["first_snapshot"]
             result.shape = tuple(first.shape)
             result.dtype = first.dtype.name
@@ -186,19 +180,19 @@ def _run_field_job(job) -> tuple[FieldResult, bytes | None, dict | None]:
             result.raw_nbytes = info["raw_nbytes"]
             result.psnr = info["psnr"]
             result.max_err = info["max_err"]
-            stream_info = {
+            stream = {
                 "shape": tuple(first.shape),
                 "dtype": first.dtype.name,
                 "eb_abs": info["eb_abs"],
                 "timesteps": spec.timesteps,
             }
         else:
-            data = _load_field(spec, defaults["job"].base_dir)
-            compressed = _compress(data, request)
+            data = _load_field(spec, job.base_dir)
+            compressed = compress(data, request)
             blob = compressed.blob
-            recon = _decompress(blob)
+            recon = decompress(blob)
             payload = blob.to_bytes()
-            stream_info = None
+            stream = None
             result.shape = tuple(data.shape)
             result.dtype = data.dtype.name
             result.codec = codec_name(blob.codec)
@@ -212,21 +206,15 @@ def _run_field_job(job) -> tuple[FieldResult, bytes | None, dict | None]:
         result.bitrate = 8.0 * result.nbytes / max(1, n_elements)
         result.status = "ok"
         result.wall_s = time.perf_counter() - t0
-        return result, payload, stream_info
+        return Outcome(result, payload, meta, stream)
     except Exception as exc:  # noqa: BLE001 — per-field isolation boundary
         result.error = f"{type(exc).__name__}: {exc}"
         result.wall_s = time.perf_counter() - t0
-        return result, None, None
+        return Outcome(result)
 
 
-def _compress_stream(spec, defaults, request):
-    from dataclasses import replace
-
-    from ..api import DEFAULT_CODEC, kernel_for
-
-    snapshots = [
-        _load_field(spec, defaults["job"].base_dir, seed_offset=t) for t in range(spec.timesteps)
-    ]
+def _compress_stream(spec, job, request):
+    snapshots = [_load_field(spec, job.base_dir, seed_offset=t) for t in range(spec.timesteps)]
     kwargs = {}
     if request.tiling is not None:
         kwargs.update(
@@ -248,8 +236,6 @@ def _compress_stream(spec, defaults, request):
     for snap in snapshots:
         writer.append(snap)
     payload = writer.getvalue()
-    from ..core.streaming import StreamReader
-
     recons = StreamReader(payload).read_all()
     stack, rstack = np.stack(snapshots), np.stack(recons)
     return payload, {
@@ -281,104 +267,31 @@ class BatchRunner:
         self.workers = resolve_workers(spec.workers if workers is None else workers)
         self.resume = resume
 
-    # ------------------------------------------------------------- scheduling
-    def _estimate_cost(self, spec: FieldSpec) -> float:
-        """Per-field work estimate in elements (feeds the LPT makespan model)."""
-        return estimate_field_cost(self.spec, spec)
-
     # -------------------------------------------------------------------- run
     def run(self) -> BatchReport:
         """Run the job; closes the archive afterwards if this runner opened it
         from a path (callers passing an ArchiveStore keep ownership)."""
+        t0 = time.perf_counter()
         try:
-            return self._run()
+            run = run_tasks(
+                field_tasks(self.spec, self.spec.fields, {"job": self.spec.name}),
+                run_field,
+                self.archive,
+                resumed=skipped_field,
+                failed=failed_field,
+                executor=self.executor,
+                workers=self.workers,
+                resume=self.resume,
+            )
         finally:
             if self._owns_archive:
                 self.archive.close()
-
-    def _run(self) -> BatchReport:
-        report = BatchReport(
+        return BatchReport(
             job=self.spec.name,
             archive=self.archive.path,
             executor=self.executor,
             workers=self.workers,
+            fields=run.rows,
+            wall_s=time.perf_counter() - t0,
+            lpt_makespan_elements=run.makespan,
         )
-        t0 = time.perf_counter()
-        pending: list[FieldSpec] = []
-        for fspec in self.spec.fields:
-            if self.resume and fspec.name in self.archive:
-                report.fields.append(FieldResult(name=fspec.name, status="skipped"))
-            else:
-                pending.append(fspec)
-        defaults = {
-            # The whole JobSpec travels with each field job (it is a frozen
-            # picklable dataclass): per-field requests resolve against the
-            # job-level CompressionRequest in one place (FieldSpec.request).
-            "job": self.spec,
-            # Fields are the unit of parallelism: never nest process pools,
-            # and keep tile threads off the lanes process workers run on.
-            "inner_executor": "serial" if self.executor == "processes" else "threads",
-            "inner_workers": 1 if self.executor != "serial" else 0,
-        }
-        costs = [self._estimate_cost(f) for f in pending]
-        order, makespan = lpt_order(costs, self.workers)
-        report.lpt_makespan_elements = makespan
-        jobs = [(pending[i], defaults) for i in order]
-        by_name: dict[str, FieldResult] = {}
-        replace = not self.resume
-
-        def archive_outcome(i: int, outcome) -> None:
-            # Runs in this thread as each field completes: the archive (and
-            # its index footer) is flushed per field, so a crashed batch
-            # loses at most the in-flight fields and payloads are dropped as
-            # they land instead of accumulating across the whole corpus.
-            fspec = jobs[i][0]
-            if isinstance(outcome, Exception):
-                by_name[fspec.name] = FieldResult(
-                    name=fspec.name,
-                    status="failed",
-                    error=f"{type(outcome).__name__}: {outcome}",
-                    timesteps=fspec.timesteps,
-                )
-                return
-            result, payload, stream_info = outcome
-            if result.status == "ok":
-                try:
-                    if stream_info is not None:
-                        self.archive.add_stream(
-                            fspec.name,
-                            payload,
-                            shape=stream_info["shape"],
-                            dtype=stream_info["dtype"],
-                            eb_abs=stream_info["eb_abs"],
-                            timesteps=stream_info["timesteps"],
-                            meta={"job": self.spec.name},
-                            replace=replace,
-                        )
-                    else:
-                        self.archive.add_blob(
-                            fspec.name,
-                            payload,
-                            meta={"job": self.spec.name},
-                            replace=replace,
-                        )
-                except Exception as exc:  # noqa: BLE001 — isolation boundary
-                    result.status = "failed"
-                    result.error = f"{type(exc).__name__}: {exc}"
-            by_name[fspec.name] = result
-
-        map_tiles(
-            _run_field_job,
-            jobs,
-            self.executor,
-            self.workers,
-            return_exceptions=True,
-            on_result=archive_outcome,
-        )
-        # Report rows follow manifest order, not LPT submission order.
-        for fspec in pending:
-            report.fields.append(by_name[fspec.name])
-        position = {f.name: i for i, f in enumerate(self.spec.fields)}
-        report.fields.sort(key=lambda r: position[r.name])
-        report.wall_s = time.perf_counter() - t0
-        return report

@@ -201,28 +201,24 @@ class TestHarnessBridge:
 
 
 class TestLegacyShims:
-    """The pre-1.4 keyword surface keeps working but warns (one release)."""
+    """The pre-1.4 keyword surface was removed in 1.6; the blessed forms
+    remain."""
 
-    def test_mode_kwarg_warns(self, smooth2d):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"mode": "tp"},
+            {"codec": "fzgpu"},
+            {"tile_shape": (32, 32)},
+            {"workers": 2},
+            {"executor": "threads"},
+        ],
+    )
+    def test_removed_keywords_raise_type_error(self, smooth2d, kwargs):
         import repro
 
-        with pytest.deprecated_call():
-            blob = repro.compress(smooth2d, 1e-2, mode="tp")
-        assert blob.codec == CODEC_IDS["cusz-hi-tp"]
-
-    def test_codec_kwarg_warns(self, smooth2d):
-        import repro
-
-        with pytest.deprecated_call():
-            blob = repro.compress(smooth2d, 1e-2, codec="fzgpu")
-        assert blob.codec == CODEC_IDS["fzgpu"]
-
-    def test_tile_shape_kwarg_warns(self, smooth2d):
-        import repro
-
-        with pytest.deprecated_call():
-            blob = repro.compress(smooth2d, 1e-2, tile_shape=(32, 32))
-        assert blob.codec == CODEC_IDS["cusz-hi-tiled"]
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            repro.compress(smooth2d, 1e-2, **kwargs)
 
     def test_plain_call_does_not_warn(self, smooth2d):
         import repro
@@ -260,10 +256,3 @@ class TestLegacyShims:
 
         with pytest.raises(api.RequestError, match="not both"):
             repro.compress(smooth2d, 1e-6, request=build_request(eb=1e-2))
-
-    def test_legacy_workers_without_tiles_still_rejected(self, smooth2d):
-        import repro
-
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError, match="require tiles"):
-                repro.compress(smooth2d, 1e-2, workers=2)

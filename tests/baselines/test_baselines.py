@@ -5,7 +5,7 @@ import pytest
 
 import repro
 from repro.baselines import CuszI, CuszIB, CuszL, CuszP2, FzGpu
-from repro.core.registry import CODEC_IDS
+from repro.api import CODEC_IDS
 
 FIXED_EB = [
     ("cusz-l", CuszL),

@@ -6,7 +6,7 @@ import pytest
 import repro
 from repro.core.compressor import CuszHi, resolve_error_bound
 from repro.core.config import CR_MODE, TP_MODE, CuszHiConfig
-from repro.core.registry import CODEC_IDS
+from repro.api import CODEC_IDS, build_request
 
 
 class TestConfig:
@@ -147,12 +147,12 @@ class TestCompressDecompress:
 
 class TestPublicApi:
     def test_compress_decompress_helpers(self, smooth3d):
-        blob = repro.compress(smooth3d, 1e-3, mode="tp")
+        blob = repro.compress(smooth3d, request=build_request(mode="tp", eb=1e-3))
         out = repro.decompress(blob)
         assert np.abs(smooth3d.astype(np.float64) - out.astype(np.float64)).max() <= blob.error_bound
 
     def test_codec_parameter(self, smooth3d):
-        blob = repro.compress(smooth3d, 1e-3, codec="cusz-l")
+        blob = repro.compress(smooth3d, request=build_request(codec="cusz-l", eb=1e-3))
         assert blob.codec == CODEC_IDS["cusz-l"]
         out = repro.decompress(blob.to_bytes())
         assert np.abs(smooth3d.astype(np.float64) - out.astype(np.float64)).max() <= blob.error_bound

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.core.registry import (
+from repro.api.registry import (
     CODEC_IDS,
     codec_class,
     codec_name,
     list_codecs,
-    register_codec,
+    register_kernel as register_codec,
 )
 
 

@@ -28,7 +28,7 @@ from repro.core import (
     unpack_tile,
 )
 from repro.core.compressor import resolve_error_bound
-from repro.core.registry import CODEC_IDS
+from repro.api import CODEC_IDS, build_request
 from repro.gpu import (
     RTX_6000_ADA,
     aggregate_tile_traces,
@@ -159,13 +159,13 @@ class TestTiledRoundTrip:
 
     def test_odd_field_odd_tiles(self):
         field = _field((37, 29))
-        blob = compress(field, 1e-3, tile_shape=(16, 16), executor="threads", workers=2)
+        blob = compress(field, request=build_request(eb=1e-3, tiles=(16, 16), executor="threads", workers=2))
         recon = decompress(blob)
         assert float(np.abs(field - recon).max()) <= blob.error_bound
 
     def test_1d_and_float64(self):
         field = _field((301,)).astype(np.float64)
-        blob = compress(field, 1e-4, tile_shape=(64,), executor="serial")
+        blob = compress(field, request=build_request(eb=1e-4, tiles=(64,), executor="serial"))
         recon = decompress(blob)
         assert recon.dtype == np.float64
         assert float(np.abs(field - recon).max()) <= blob.error_bound
@@ -190,7 +190,7 @@ class TestTiledFrame:
     @pytest.fixture(scope="class")
     def packed(self):
         field = _field((37, 30))
-        blob = compress(field, 1e-3, tile_shape=(16, 16), executor="serial")
+        blob = compress(field, request=build_request(eb=1e-3, tiles=(16, 16), executor="serial"))
         return field, blob
 
     def test_offsets_tile_the_frame_exactly(self, packed):
@@ -322,6 +322,6 @@ class TestConfigKnobs:
     def test_top_level_compress_rejects_misuse(self):
         field = _field((16, 16))
         with pytest.raises(ValueError):
-            compress(field, 1e-3, codec="cusz-l", tile_shape=(8, 8))
+            compress(field, request=build_request(codec="cusz-l", eb=1e-3, tiles=(8, 8)))
         with pytest.raises(ValueError):
-            compress(field, 1e-3, workers=4)
+            compress(field, request=build_request(eb=1e-3, workers=4))

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro import compress
+from repro.api import build_request
 from repro.http import read_response
 from repro.server import ReproServer
 from repro.service import ArchiveStore
@@ -113,5 +114,5 @@ def seeded_archive(tmp_path, field16):
     path = tmp_path / "corpus.rpza"
     with ArchiveStore(str(path), mode="w", backend="file") as archive:
         archive.add_blob("plain", compress(field16, eb=1e-3))
-        archive.add_blob("tiled", compress(field16, eb=1e-3, tile_shape=(8, 8, 8)))
+        archive.add_blob("tiled", compress(field16, request=build_request(eb=1e-3, tiles=(8, 8, 8))))
     return path

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+from repro.api import build_request
 from repro.analysis.harness import COMPRESSOR_FACTORIES, make_compressor
 from repro.core.container import CompressedBlob, ContainerError
 
@@ -56,7 +57,7 @@ class TestFuzzRoundtrip:
     @given(field=small_fields())
     def test_dispatcher_routes_all(self, field):
         for codec in ALL_FIXED_EB:
-            blob = repro.compress(field, 1e-2, codec=codec)
+            blob = repro.compress(field, request=build_request(codec=codec, eb=1e-2))
             out = repro.decompress(blob.to_bytes())
             assert np.abs(field.astype(np.float64) - out.astype(np.float64)).max() <= blob.error_bound
 
@@ -114,7 +115,7 @@ class TestEdgeGeometries:
     def test_float64_through_all_codecs(self, rng):
         data = np.cumsum(rng.standard_normal((14, 15, 16)), axis=1)
         for codec in ALL_FIXED_EB:
-            blob = repro.compress(data, 1e-3, codec=codec)
+            blob = repro.compress(data, request=build_request(codec=codec, eb=1e-3))
             out = repro.decompress(blob)
             assert out.dtype == np.float64
             assert np.abs(data - out).max() <= blob.error_bound
@@ -132,7 +133,7 @@ class TestPaperHeadlines:
         (the paper's 'up to 249% over existing compressors' regime)."""
         hi = repro.compress(field, 1e-2).compression_ratio
         best_base = max(
-            repro.compress(field, 1e-2, codec=c).compression_ratio
+            repro.compress(field, request=build_request(codec=c, eb=1e-2)).compression_ratio
             for c in ("cusz-l", "cusz-i", "cuszp2", "fzgpu")
         )
         assert hi > 2.0 * best_base
@@ -156,6 +157,6 @@ class TestPaperHeadlines:
         """Eq. 1 holds for every mode at every tested bound — not on average."""
         for mode in ("cr", "tp"):
             for eb in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
-                blob = repro.compress(field, eb, mode=mode)
+                blob = repro.compress(field, request=build_request(mode=mode, eb=eb))
                 out = repro.decompress(blob)
                 assert np.abs(field.astype(np.float64) - out.astype(np.float64)).max() <= blob.error_bound
